@@ -66,7 +66,6 @@ from .routing import (
 )
 from .spectral import (
     DEFAULT_SIZE_GUARD,
-    DEFAULT_TOL,
     SizeGuardError,
     SpectralSummary,
     algebraic_connectivity,
@@ -84,7 +83,6 @@ __all__ = [
     "DEFAULT_MODE",
     "DEFAULT_SIZE_GUARD",
     "DEFAULT_STEPS",
-    "DEFAULT_TOL",
     "DEFAULT_TRIALS",
     "DegreeHistogram",
     "EdgeListParseError",

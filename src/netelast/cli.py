@@ -20,7 +20,7 @@ from .generators import generate, parse_generator_spec
 from .graph import Graph, dump_edge_list, load_edge_list
 from .metrics import assortativity, degree_histogram, summarize
 from .routing import DEFAULT_MODE, MODES
-from .spectral import DEFAULT_SIZE_GUARD, DEFAULT_TOL, eigenvalues, laplacian
+from .spectral import DEFAULT_SIZE_GUARD, eigenvalues, laplacian
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,20 @@ def _curve_csv(curve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_graph(args) -> tuple[Graph, str]:
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return load_edge_list(fh), Path(args.input).stem
-    kind, params = parse_generator_spec(args.generate)
-    return generate(kind, params, seed=args.seed), args.generate.replace(":", "-")
+def _load_graph(path: str | None, spec: str | None, seed: int) -> tuple[Graph, str]:
+    """Load an edge-list file or, when no path is given, generate spec."""
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_edge_list(fh), Path(path).stem
+    kind, params = parse_generator_spec(spec)
+    return generate(kind, params, seed=seed), spec.replace(":", "-")
+
+
+def _trials(args) -> int:
+    """--trials, defaulting to DEFAULT_TRIALS for random attacks and 1 otherwise."""
+    if args.trials is not None:
+        return args.trials
+    return DEFAULT_TRIALS if args.attack.startswith("random") else 1
 
 
 def _add_source_options(p: argparse.ArgumentParser) -> None:
@@ -84,9 +92,7 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
 
 
 def _run_config(args, label: str) -> RunConfig:
-    trials = args.trials
-    if trials is None:
-        trials = DEFAULT_TRIALS if args.attack.startswith("random") else 1
+    trials = _trials(args)
     if args.attack == "degree":
         trials = 1
     if trials < 1:
@@ -106,7 +112,7 @@ def _run_config(args, label: str) -> RunConfig:
 
 
 def _cmd_elasticity(args) -> int:
-    g, label = _load_graph(args)
+    g, label = _load_graph(args.input, args.generate, args.seed)
     label = args.label or label
     cfg = _run_config(args, label)
     study = averaged_elasticity(
@@ -134,8 +140,8 @@ def _cmd_elasticity(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    g, label = _load_graph(args)
-    summary = eigenvalues(laplacian(g), tol=args.tol, size_guard=args.size_guard)
+    g, label = _load_graph(args.input, args.generate, args.seed)
+    summary = eigenvalues(laplacian(g), size_guard=args.size_guard)
     payload = {
         "n": g.n,
         "m": g.m,
@@ -155,7 +161,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    g, _ = _load_graph(args)
+    g, _ = _load_graph(args.input, args.generate, args.seed)
     s = summarize(g)
     payload = {
         "n": s.n,
@@ -173,7 +179,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_ndd(args) -> int:
-    g, _ = _load_graph(args)
+    g, _ = _load_graph(args.input, args.generate, args.seed)
     hist = degree_histogram(g)
     lines = ["degree,count,fraction"]
     lines += [f"{d},{c},{c / g.n:.6f}" for d, c in hist.items()]
@@ -186,8 +192,7 @@ def _cmd_ndd(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    kind, params = parse_generator_spec(args.spec)
-    g = generate(kind, params, seed=args.seed)
+    g, _ = _load_graph(None, args.spec, args.seed)
     text = dump_edge_list(g)
     if args.output:
         _write_atomic(Path(args.output), text)
@@ -198,28 +203,18 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_scatter(args) -> int:
-    sources = [("input", p) for p in args.input or []]
-    sources += [("generate", s) for s in args.generate or []]
+    sources = [(p, None) for p in args.input or []]
+    sources += [(None, s) for s in args.generate or []]
     if not sources:
         raise ValueError("scatter needs at least one --input or --generate")
     rows = []
-    for how, src in sources:
-        if how == "input":
-            with open(src, "r", encoding="utf-8") as fh:
-                g = load_edge_list(fh)
-            base = Path(src).stem
-        else:
-            kind, params = parse_generator_spec(src)
-            g = generate(kind, params, seed=args.seed)
-            base = src.replace(":", "-")
+    for path, spec in sources:
+        g, base = _load_graph(path, spec, args.seed)
         r = assortativity(g) if g.m >= 1 else None
-        trials = args.trials
-        if trials is None:
-            trials = DEFAULT_TRIALS if args.attack.startswith("random") else 1
         study = averaged_elasticity(
             g,
             args.attack,
-            trials=trials,
+            trials=_trials(args),
             seed=args.seed,
             max_removal_fraction=args.max_removal,
             steps=args.steps,
@@ -256,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="Laplacian spectrum and algebraic connectivity")
     _add_source_options(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--size-guard", type=int, default=DEFAULT_SIZE_GUARD)
     p.add_argument("--full-spectrum", action="store_true", help="include all eigenvalues")
     p.add_argument("--json-out", help="write JSON here instead of stdout")

@@ -19,6 +19,7 @@ from .graph import Graph, remove_links, remove_nodes
 from .routing import (
     DEFAULT_MODE,
     MODES,
+    ThroughputSample,
     delivered_flow_count,
     normalized_throughput,
     raw_throughput,
@@ -130,12 +131,9 @@ def sweep(
     # flow-ratio needs only deliverable-pair counts, which come straight
     # from component sizes; routing is required for the bottleneck mode.
     if mode == "flow-ratio":
-        delivered_initial = delivered_flow_count(g)
-        degenerate = delivered_initial == 0
-        baseline = None
+        baseline = ThroughputSample(raw=math.nan, delivered=delivered_flow_count(g))
     else:
         baseline = raw_throughput(route_all_pairs(g))
-        degenerate = baseline.raw == 0.0
     samples = [(1.0, 1.0)]
     clamp_events = 0
     previous = 0
@@ -148,15 +146,10 @@ def sweep(
             current, _ = remove_nodes(g, victims)
         else:
             current = remove_links(g, victims)
-        if degenerate:
-            tp = 0.0
-        elif mode == "flow-ratio":
-            tp = delivered_flow_count(current) / delivered_initial
-        else:
-            tp = normalized_throughput(current, baseline, mode)
-            if tp > 1.0:
-                clamp_events += 1
-                tp = 1.0
+        tp = normalized_throughput(current, baseline, mode)
+        if tp > 1.0:
+            clamp_events += 1
+            tp = 1.0
         samples.append(((total - target) / total, tp))
 
     return ThroughputCurve(

@@ -33,9 +33,6 @@ DEFAULT_MODE = "bottleneck"
 
 # Source-block cap so per-block distance matrices stay within ~tens of MB.
 _BLOCK_CELLS = 1_500_000
-# Below this node count a dense edge-id lookup table is cheaper than
-# binary-searching canonical edge keys.
-_DENSE_EDGE_TABLE_MAX_N = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,14 +62,20 @@ def delivered_flow_count(g: Graph) -> int:
     return sum(s * (s - 1) for s in connected_components(g).component_sizes)
 
 
-def _csr_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+def _csr_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """CSR adjacency (indptr, indices), each slot's node, and its link id.
+
+    Stable-sorting the flattened canonical edge list by endpoint lists each
+    node's links in canonical order, which is ascending neighbor order
+    (all lower neighbors precede all upper ones), i.e. exactly the sorted
+    adjacency.  Entry 2e or 2e+1 of the flattened list belongs to link e, so
+    the sort permutation itself is the slot->link map.
+    """
+    ends = np.array(g.edges, dtype=np.int64).ravel()
+    order = np.argsort(ends, kind="stable")
     indptr = np.zeros(g.n + 1, dtype=np.int64)
-    for v, nbrs in enumerate(g.adjacency):
-        indptr[v + 1] = indptr[v] + len(nbrs)
-    indices = np.fromiter(
-        (u for nbrs in g.adjacency for u in nbrs), dtype=np.int64, count=int(indptr[-1])
-    )
-    return indptr, indices
+    np.cumsum(np.bincount(ends, minlength=g.n), out=indptr[1:])
+    return indptr, ends[order ^ 1], ends[order], order // 2
 
 
 def route_all_pairs(g: Graph) -> FlowAssignment:
@@ -80,31 +83,23 @@ def route_all_pairs(g: Graph) -> FlowAssignment:
 
     Runs a BFS-distance pass per source (in blocks), then derives each
     node's parent as its lowest-id neighbor one hop closer to the source.
-    Flow counts come from subtree sizes of the per-source routing trees, so
-    no individual path is ever materialized.
+    Flow counts follow Brandes' (2001) dependency accumulation with a single
+    predecessor: subtree sizes of the per-source routing trees, summed
+    deepest-first, so no individual path is ever materialized.  The CSR
+    slot that names a node's parent also names the tree link through the
+    slot->link map, so loads land on link ids without any edge lookup.
     """
     n, m = g.n, g.m
     if n == 0 or m == 0:
         return FlowAssignment(link_load=np.zeros(m, dtype=np.int64), delivered=0, max_link_load=0)
 
-    indptr, indices = _csr_arrays(g)
+    indptr, indices, slot_node, slot_link = _csr_arrays(g)
     adj = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
-    edge_u = np.array([u for u, _ in g.edges], dtype=np.int64)
-    edge_v = np.array([v for _, v in g.edges], dtype=np.int64)
-    if n <= _DENSE_EDGE_TABLE_MAX_N:
-        edge_table = np.full(n * n, -1, dtype=np.int32)
-        edge_table[edge_u * n + edge_v] = np.arange(m, dtype=np.int32)
-        edge_keys = None
-    else:
-        edge_table = None
-        # Canonical edge order makes these keys ascending.
-        edge_keys = edge_u * n + edge_v
 
     # CSR slot bookkeeping for the vectorized parent selection below.  A
     # sentinel column keeps reduceat in bounds when trailing nodes have no
     # neighbors; the sentinel value doubles as the "no parent" marker.
     nslots = len(indices)
-    slot_node = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     slot_pos = np.arange(nslots, dtype=np.int64)
     segments = indptr[:-1]
 
@@ -119,17 +114,15 @@ def route_all_pairs(g: Graph) -> FlowAssignment:
         reachable = np.isfinite(dist)
         delivered += int(reachable.sum()) - len(sources)
 
-        # parent[s, v] = lowest-id neighbor of v one hop closer to s: mark
-        # eligible CSR slots, then take each node's first eligible slot
-        # (neighbor lists are ascending, so first slot = lowest id).
+        # Parent slot of v toward s: mark eligible CSR slots (neighbor one hop
+        # closer to s), then take each node's first eligible slot (neighbor
+        # lists are ascending, so first slot = lowest-id neighbor).
         eligible = dist[:, indices] + 1.0 == dist[:, slot_node]
         slot_or_sentinel = np.where(eligible, slot_pos, nslots)
         slot_or_sentinel = np.concatenate(
             [slot_or_sentinel, np.full((len(sources), 1), nslots, dtype=np.int64)], axis=1
         )
         first_slot = np.minimum.reduceat(slot_or_sentinel, segments, axis=1)
-        padded_indices = np.concatenate([indices, [-1]])
-        parent = padded_indices[first_slot]
 
         # Subtree sizes of the routing trees, accumulated deepest-first.
         size = reachable.astype(np.float64)
@@ -139,8 +132,8 @@ def route_all_pairs(g: Graph) -> FlowAssignment:
         rows, cols, depth = rows[order], cols[order], depth[order]
         flat = size.ravel()
         child_idx = rows * n + cols
-        parent_at = parent[rows, cols]
-        parent_idx = rows * n + parent_at
+        parent_slot = first_slot[rows, cols]
+        parent_idx = rows * n + indices[parent_slot]
         cuts = np.flatnonzero(np.diff(depth)) + 1
         for lo, hi in zip(
             np.concatenate(([0], cuts)), np.concatenate((cuts, [len(depth)]))
@@ -148,13 +141,7 @@ def route_all_pairs(g: Graph) -> FlowAssignment:
             np.add.at(flat, parent_idx[lo:hi], flat[child_idx[lo:hi]])
 
         # Each tree edge (parent, v) carries one flow per node in v's subtree.
-        lo_id = np.minimum(parent_at, cols)
-        hi_id = np.maximum(parent_at, cols)
-        if edge_table is not None:
-            eids = edge_table[lo_id * n + hi_id]
-        else:
-            eids = np.searchsorted(edge_keys, lo_id * n + hi_id)
-        load_acc += np.bincount(eids, weights=flat[child_idx], minlength=m)
+        load_acc += np.bincount(slot_link[parent_slot], weights=flat[child_idx], minlength=m)
 
     link_load = load_acc.astype(np.int64)
     max_load = int(link_load.max()) if m else 0

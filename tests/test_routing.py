@@ -143,15 +143,13 @@ def test_link_load_is_integer_array():
     assert fa.link_load.dtype == np.int64
 
 
-def test_source_blocking_and_key_lookup_fallback(monkeypatch):
-    # force the multi-block path and the binary-search edge lookup that
-    # normally only trigger on large graphs
+def test_source_blocking(monkeypatch):
+    # force the multi-block path that normally only triggers on large graphs
     import netelast.routing as routing
 
     g = erdos_renyi(26, 0.3, seed=13)
     expected = route_all_pairs(g)
     monkeypatch.setattr(routing, "_BLOCK_CELLS", 100)
-    monkeypatch.setattr(routing, "_DENSE_EDGE_TABLE_MAX_N", 4)
     fa = routing.route_all_pairs(g)
     assert fa.delivered == expected.delivered
     assert fa.max_link_load == expected.max_link_load
