@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -25,29 +24,6 @@ class AttackPlan:
     order: tuple
     seed: int | None = None
     recompute: bool | None = None
-
-    def to_dict(self) -> dict:
-        order = [list(e) for e in self.order] if self.kind == "link" else list(self.order)
-        out = {"kind": self.kind, "strategy": self.strategy, "seed": self.seed, "order": order}
-        if self.recompute is not None:
-            out["recompute"] = self.recompute
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AttackPlan":
-        kind = data["kind"]
-        raw = data["order"]
-        order = tuple(tuple(e) for e in raw) if kind == "link" else tuple(raw)
-        return cls(
-            kind=kind,
-            strategy=data["strategy"],
-            order=order,
-            seed=data.get("seed"),
-            recompute=data.get("recompute"),
-        )
 
 
 def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> AttackPlan:

@@ -141,7 +141,7 @@ def _cmd_elasticity(args) -> int:
 
 def _cmd_spectral(args) -> int:
     g, label = _load_graph(args.input, args.generate, args.seed)
-    summary = eigenvalues(laplacian(g), size_guard=args.size_guard)
+    summary = eigenvalues(laplacian(g, size_guard=args.size_guard))
     payload = {
         "n": g.n,
         "m": g.m,

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import compress
+
+import numpy as np
 
 from .attacks import AttackPlan, plan_random_links, plan_random_nodes, plan_targeted_degree
-from .graph import Graph, remove_links, remove_nodes
+from .graph import Graph, edge_ends
 from .routing import (
     DEFAULT_MODE,
     MODES,
@@ -69,19 +72,7 @@ class ElasticityResult:
     elasticity_std: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "mode": self.mode,
-            "trials": self.trials,
-            "seed": self.seed,
-            "steps": self.steps,
-            "max_removal_fraction": self.max_removal_fraction,
-            "area": self.area,
-            "elasticity": self.elasticity,
-            "clamp_events": self.clamp_events,
-            "elasticity_std": self.elasticity_std,
-            "per_trial_elasticity": list(self.per_trial_elasticity),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -99,6 +90,35 @@ def _batch_targets(total: int, fraction: float, steps: int) -> list[int]:
     return [int(k * fraction * total / steps + 0.5) for k in range(1, steps + 1)]
 
 
+def _link_ranks(g: Graph, plan: AttackPlan, count: int) -> np.ndarray:
+    """Plan position at which each link of g goes; count for links kept.
+
+    A link plan removes a link at its own position, a node plan at the
+    earlier position of its two endpoints; a repeated entry counts at its
+    first position.  Only the first count entries, the ones a sweep
+    removes, are checked, with the errors of remove_nodes/remove_links.
+    """
+    prefix = plan.order[:count]
+    if plan.kind == "node":
+        bad = [v for v in prefix if not 0 <= v < g.n]
+        if bad:
+            raise ValueError(f"victim id {bad[0]} out of range for n={g.n}")
+        slots, size = prefix, g.n
+    else:
+        link_id = {e: i for i, e in enumerate(g.edges)}
+        keys = [(u, v) if u < v else (v, u) for u, v in prefix]
+        bad = [k for k in keys if k not in link_id]
+        if bad:
+            raise ValueError(f"edge {bad[0]} not present in graph")
+        slots, size = [link_id[k] for k in keys], g.m
+    rank = np.full(size, count, dtype=np.int64)
+    np.minimum.at(rank, np.asarray(slots, dtype=np.int64), np.arange(len(slots)))
+    if plan.kind == "node":
+        ends = edge_ends(g)
+        rank = np.minimum(rank[ends[0::2]], rank[ends[1::2]])
+    return rank
+
+
 def sweep(
     g: Graph,
     plan: AttackPlan,
@@ -109,11 +129,13 @@ def sweep(
     """Run one attack sweep and sample the normalized throughput curve.
 
     Entities are removed in plan order over `steps` equal batches, always
-    starting again from the intact graph so earlier batches cannot skew
-    later ids.  Batches that round to no removals are skipped, keeping the
-    fraction axis strictly decreasing.  A degenerate baseline (nothing
-    deliverable in the intact graph) yields the conventional curve 1 at the
-    intact sample and 0 afterwards.
+    starting again from the intact graph: a sample is g masked to the links
+    whose rank (_link_ranks) reaches the batch target, so removed nodes stay
+    as isolated nodes, which deliver nothing and carry no load.  Batches
+    that round to no removals are skipped, keeping the fraction axis
+    strictly decreasing.  A degenerate baseline (nothing deliverable in the
+    intact graph) yields the conventional curve 1 at the intact sample and
+    0 afterwards.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
@@ -127,6 +149,8 @@ def sweep(
     needed = math.ceil(max_removal_fraction * total)
     if len(plan.order) < needed:
         raise ValueError(f"plan covers {len(plan.order)} entities, sweep needs {needed}")
+    targets = _batch_targets(total, max_removal_fraction, steps)
+    rank = _link_ranks(g, plan, targets[-1] if targets else 0)
 
     # flow-ratio needs only deliverable-pair counts, which come straight
     # from component sizes; routing is required for the bottleneck mode.
@@ -137,15 +161,12 @@ def sweep(
     samples = [(1.0, 1.0)]
     clamp_events = 0
     previous = 0
-    for target in _batch_targets(total, max_removal_fraction, steps):
+    for target in targets:
         if target == previous:
             continue
         previous = target
-        victims = plan.order[:target]
-        if plan.kind == "node":
-            current, _ = remove_nodes(g, victims)
-        else:
-            current = remove_links(g, victims)
+        kept = list(compress(g.edges, (rank >= target).tolist()))
+        current = Graph(n=g.n, edges=kept, labels=g.labels)
         tp = normalized_throughput(current, baseline, mode)
         if tp > 1.0:
             clamp_events += 1

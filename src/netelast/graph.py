@@ -1,16 +1,21 @@
 """Immutable undirected simple graphs over dense integer node ids.
 
 The substrate for the whole toolkit: edge-list ingestion, connectivity
-labeling, copy-on-remove node/link deletion, and canonical serialization.
+labeling, node/link deletion into a new graph, and canonical serialization.
 Graphs are treated as immutable after construction, so they can be shared
 freely across sweeps and worker processes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 
 class EdgeListParseError(ValueError):
@@ -25,13 +30,12 @@ class EdgeListParseError(ValueError):
 class Graph:
     """Undirected simple graph with node ids exactly 0..n-1.
 
-    adjacency[u] is sorted ascending; edges is the canonical link list:
-    (u, v) with u < v, sorted lexicographically.  labels, when present,
-    maps each dense id back to the external id it was loaded under.
+    edges is the canonical link list: (u, v) with u < v, sorted
+    lexicographically (so any subset of it is canonical too).  labels, when
+    present, maps each dense id back to the external id it was loaded under.
     """
 
     n: int
-    adjacency: list[list[int]]
     edges: list[tuple[int, int]]
     labels: list[int] | None = None
 
@@ -39,17 +43,20 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """Ascending neighbor lists, built on first use from canonical edges."""
+        adjacency: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        return adjacency
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     def degrees(self) -> list[int]:
         return [len(nbrs) for nbrs in self.adjacency]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        a, b = (u, v) if len(self.adjacency[u]) <= len(self.adjacency[v]) else (v, u)
-        return b in self.adjacency[a]
 
 
 @dataclass(frozen=True)
@@ -79,14 +86,7 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]], labels: list[int] | Non
         if u == v:
             continue
         seen.add((u, v) if u < v else (v, u))
-    edges = sorted(seen)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    for nbrs in adjacency:
-        nbrs.sort()
-    return Graph(n=n, adjacency=adjacency, edges=edges, labels=labels)
+    return Graph(n=n, edges=sorted(seen), labels=labels)
 
 
 def load_edge_list(source: str | Iterable[str]) -> Graph:
@@ -141,26 +141,18 @@ def dump_edge_list(g: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.edges)
 
 
+def edge_ends(g: Graph) -> np.ndarray:
+    """The canonical edge list flattened to int64 [u0, v0, u1, v1, ...]."""
+    return np.fromiter(chain.from_iterable(g.edges), np.int64, 2 * g.m)
+
+
 def connected_components(g: Graph) -> ComponentLabeling:
-    """Label connected components by BFS; ids assigned in scan order of node 0..n-1."""
-    component_id = [-1] * g.n
-    sizes: list[int] = []
-    for start in range(g.n):
-        if component_id[start] >= 0:
-            continue
-        cid = len(sizes)
-        component_id[start] = cid
-        size = 1
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if component_id[v] < 0:
-                    component_id[v] = cid
-                    size += 1
-                    queue.append(v)
-        sizes.append(size)
-    return ComponentLabeling(component_id=component_id, component_sizes=sizes)
+    """Label connected components; ids assigned in scan order of node 0..n-1."""
+    ends = edge_ends(g)
+    adj = coo_matrix((np.ones(g.m), (ends[0::2], ends[1::2])), shape=(g.n, g.n))
+    count, component_id = _csgraph_components(adj, directed=False)
+    sizes = np.bincount(component_id, minlength=count)
+    return ComponentLabeling(component_id=component_id.tolist(), component_sizes=sizes.tolist())
 
 
 def remove_nodes(g: Graph, victims: Iterable[int]) -> tuple[Graph, list[int]]:
@@ -175,9 +167,10 @@ def remove_nodes(g: Graph, victims: Iterable[int]) -> tuple[Graph, list[int]]:
             raise ValueError(f"victim id {v} out of range for n={g.n}")
     survivors = [v for v in range(g.n) if v not in victim_set]
     new_id = {old: i for i, old in enumerate(survivors)}
-    pairs = [(new_id[u], new_id[v]) for u, v in g.edges if u in new_id and v in new_id]
+    # The relabel keeps id order, so the kept links stay canonical.
+    edges = [(new_id[u], new_id[v]) for u, v in g.edges if u in new_id and v in new_id]
     labels = [g.labels[old] for old in survivors] if g.labels is not None else None
-    return make_graph(len(survivors), pairs, labels=labels), survivors
+    return Graph(n=len(survivors), edges=edges, labels=labels), survivors
 
 
 def remove_links(g: Graph, victims: Iterable[tuple[int, int]]) -> Graph:
@@ -193,5 +186,4 @@ def remove_links(g: Graph, victims: Iterable[tuple[int, int]]) -> Graph:
         if key not in edge_set:
             raise ValueError(f"edge {key} not present in graph")
         normalized.add(key)
-    pairs = [e for e in g.edges if e not in normalized]
-    return make_graph(g.n, pairs, labels=g.labels)
+    return Graph(n=g.n, edges=[e for e in g.edges if e not in normalized], labels=g.labels)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .graph import Graph, connected_components
+from .graph import Graph, connected_components, edge_ends
 
 #: Normalization modes for throughput relative to the intact baseline:
 #: "bottleneck" re-derives the bottleneck rate on the degraded graph
@@ -65,16 +65,19 @@ def delivered_flow_count(g: Graph) -> int:
 def _csr_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """CSR adjacency (indptr, indices), each slot's node, and its link id.
 
+    Nodes without links are dropped: a monotone relabel (np.unique) numbers
+    the linked nodes 0..len(indptr)-2 in id order, so routing cost follows
+    the linked nodes, not g.n, and lowest-id choices are unchanged.
     Stable-sorting the flattened canonical edge list by endpoint lists each
     node's links in canonical order, which is ascending neighbor order
     (all lower neighbors precede all upper ones), i.e. exactly the sorted
     adjacency.  Entry 2e or 2e+1 of the flattened list belongs to link e, so
     the sort permutation itself is the slot->link map.
     """
-    ends = np.array(g.edges, dtype=np.int64).ravel()
+    nodes, ends = np.unique(edge_ends(g), return_inverse=True)
     order = np.argsort(ends, kind="stable")
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=g.n), out=indptr[1:])
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends), out=indptr[1:])
     return indptr, ends[order ^ 1], ends[order], order // 2
 
 
@@ -89,16 +92,18 @@ def route_all_pairs(g: Graph) -> FlowAssignment:
     slot that names a node's parent also names the tree link through the
     slot->link map, so loads land on link ids without any edge lookup.
     """
-    n, m = g.n, g.m
-    if n == 0 or m == 0:
+    m = g.m
+    if m == 0:
         return FlowAssignment(link_load=np.zeros(m, dtype=np.int64), delivered=0, max_link_load=0)
 
+    # n counts linked nodes only: linkless ones deliver nothing, carry nothing.
     indptr, indices, slot_node, slot_link = _csr_arrays(g)
+    n = len(indptr) - 1
     adj = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
 
-    # CSR slot bookkeeping for the vectorized parent selection below.  A
-    # sentinel column keeps reduceat in bounds when trailing nodes have no
-    # neighbors; the sentinel value doubles as the "no parent" marker.
+    # CSR slot bookkeeping for the vectorized parent selection below.  Every
+    # node has a link, so each reduceat segment is non-empty; the sentinel
+    # value nslots marks "no parent" (the source and unreachable nodes).
     nslots = len(indices)
     slot_pos = np.arange(nslots, dtype=np.int64)
     segments = indptr[:-1]
@@ -119,9 +124,6 @@ def route_all_pairs(g: Graph) -> FlowAssignment:
         # lists are ascending, so first slot = lowest-id neighbor).
         eligible = dist[:, indices] + 1.0 == dist[:, slot_node]
         slot_or_sentinel = np.where(eligible, slot_pos, nslots)
-        slot_or_sentinel = np.concatenate(
-            [slot_or_sentinel, np.full((len(sources), 1), nslots, dtype=np.int64)], axis=1
-        )
         first_slot = np.minimum.reduceat(slot_or_sentinel, segments, axis=1)
 
         # Subtree sizes of the routing trees, accumulated deepest-first.

@@ -1,9 +1,6 @@
-import json
-
 import pytest
 
 from netelast import (
-    AttackPlan,
     complete_graph,
     make_graph,
     path_graph,
@@ -108,17 +105,6 @@ def test_plans_independent_of_input_edge_order():
     assert plan_targeted_degree(a, 4).order == plan_targeted_degree(b, 4).order
     assert plan_random_nodes(a, 4, seed=1).order == plan_random_nodes(b, 4, seed=1).order
     assert plan_random_links(a, 4, seed=1).order == plan_random_links(b, 4, seed=1).order
-
-
-def test_plan_json_round_trip():
-    g = complete_graph(4)
-    for plan in (
-        plan_targeted_degree(g, 3),
-        plan_random_nodes(g, 4, seed=2),
-        plan_random_links(g, 5, seed=2),
-    ):
-        again = AttackPlan.from_dict(json.loads(plan.to_json()))
-        assert again == plan
 
 
 def test_plan_orders_have_no_duplicates():

@@ -2,10 +2,13 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netelast import (
     AttackPlan,
     ThroughputCurve,
+    ThroughputSample,
     area_under_curve,
     averaged_elasticity,
     complete_graph,
@@ -13,12 +16,19 @@ from netelast import (
     erdos_renyi,
     grid_graph,
     make_graph,
+    normalized_throughput,
+    plan_random_links,
     plan_random_nodes,
     plan_targeted_degree,
+    raw_throughput,
+    remove_links,
+    remove_nodes,
+    route_all_pairs,
     star_graph,
     sweep,
     wheel_graph,
 )
+from netelast.routing import delivered_flow_count
 
 
 def make_curve(samples, mrf=0.8, steps=80, mode="flow-ratio", kind="node"):
@@ -75,6 +85,24 @@ def test_sweep_parameter_validation():
         sweep(s5, plan, 1.2, 4)
     with pytest.raises(ValueError):
         sweep(s5, plan, 0.8, 4, "fastest")
+    # bad entries inside the removed prefix fail like remove_nodes/remove_links
+    for bad in (-1, 5):
+        with pytest.raises(ValueError):
+            sweep(s5, AttackPlan(kind="node", strategy="degree", order=(bad, 0, 1, 2, 3)), 0.8, 4)
+    absent = AttackPlan(kind="link", strategy="random-link", order=((1, 2), (0, 1), (0, 2), (0, 3)))
+    with pytest.raises(ValueError):
+        sweep(s5, absent, 0.8, 4)
+    # a link named in either orientation is the same link
+    g = grid_graph(3, 3)
+    plan = plan_random_links(g, g.m, seed=5)
+    flipped = AttackPlan(
+        kind="link",
+        strategy=plan.strategy,
+        order=tuple((v, u) for u, v in plan.order),
+        seed=plan.seed,
+    )
+    for mode in ("bottleneck", "flow-ratio"):
+        assert sweep(g, flipped, 0.8, 80, mode) == sweep(g, plan, 0.8, 80, mode)
 
 
 def test_degenerate_baseline_curve():
@@ -227,3 +255,68 @@ def test_elasticity_result_to_dict_keys():
         "clamp_events",
     ):
         assert key in payload
+
+
+def reference_sweep(g, plan, fraction, steps, mode):
+    """Samples and clamp count from rebuilding every sample with the public removals."""
+    total = g.n if plan.kind == "node" else g.m
+    if mode == "flow-ratio":
+        baseline = ThroughputSample(raw=math.nan, delivered=delivered_flow_count(g))
+    else:
+        baseline = raw_throughput(route_all_pairs(g))
+    samples, clamps, previous = [(1.0, 1.0)], 0, 0
+    for k in range(1, steps + 1):
+        target = int(k * fraction * total / steps + 0.5)
+        if target == previous:
+            continue
+        previous = target
+        victims = plan.order[:target]
+        current = remove_nodes(g, victims)[0] if plan.kind == "node" else remove_links(g, victims)
+        tp = normalized_throughput(current, baseline, mode)
+        clamps += tp > 1.0
+        samples.append(((total - target) / total, min(tp, 1.0)))
+    return tuple(samples), clamps
+
+
+def test_repeated_plan_entries_count_at_first_position():
+    g = wheel_graph(6)
+    nodes = AttackPlan(kind="node", strategy="random-node", order=(2, 2, 0, 2, 1, 3))
+    links = AttackPlan(kind="link", strategy="random-link", order=((0, 1), (1, 0)) + tuple(g.edges))
+    for plan in (nodes, links):
+        for mode in ("bottleneck", "flow-ratio"):
+            curve = sweep(g, plan, 0.5, 5, mode)
+            assert (curve.samples, curve.clamp_events) == reference_sweep(g, plan, 0.5, 5, mode)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 14))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=30)) if n else []
+    labels = draw(st.none() | st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    return make_graph(n, pairs, labels=labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=graphs(),
+    strategy=st.sampled_from(["degree", "random-node", "random-link"]),
+    mode=st.sampled_from(["bottleneck", "flow-ratio"]),
+    steps=st.sampled_from([0, 1, 5, 80]),
+    fraction=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 1000),
+    recompute=st.booleans(),
+)
+def test_sweep_equals_rebuilding_each_sample(g, strategy, mode, steps, fraction, seed, recompute):
+    if strategy == "degree":
+        plan = plan_targeted_degree(g, g.n, recompute=recompute)
+    elif strategy == "random-node":
+        plan = plan_random_nodes(g, g.n, seed)
+    else:
+        plan = plan_random_links(g, g.m, seed)
+    curve = sweep(g, plan, fraction, steps, mode)
+    assert (curve.samples, curve.clamp_events) == reference_sweep(g, plan, fraction, steps, mode)
+    if mode == "flow-ratio":
+        # nested removals never raise the deliverable flow count
+        tps = [tp for _, tp in curve.samples]
+        assert all(a >= b for a, b in zip(tps, tps[1:]))

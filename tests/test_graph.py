@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from netelast import (
@@ -69,7 +70,18 @@ def test_components():
 def test_component_sizes_sum_to_n():
     for seed in range(20):
         g = erdos_renyi(random.Random(seed).randrange(1, 40), 0.1, seed=seed)
-        assert sum(connected_components(g).component_sizes) == g.n
+        lab = connected_components(g)
+        assert sum(lab.component_sizes) == g.n
+        # component ids first appear in ascending node order
+        first_seen = list(dict.fromkeys(lab.component_id))
+        assert first_seen == list(range(lab.count))
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        members = [set() for _ in range(lab.count)]
+        for v, c in enumerate(lab.component_id):
+            members[c].add(v)
+        assert sorted(map(sorted, members)) == sorted(map(sorted, nx.connected_components(h)))
 
 
 def test_remove_nodes_star_hub():

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -105,11 +106,26 @@ def test_single_node_spectrum():
 
 
 def test_size_guard():
-    lap = laplacian(path_graph(5))
     with pytest.raises(SizeGuardError):
-        eigenvalues(lap, size_guard=4)
+        laplacian(path_graph(5), size_guard=4)
+    with pytest.raises(SizeGuardError):
+        algebraic_connectivity(path_graph(5), size_guard=4)
+    assert laplacian(path_graph(5), size_guard=5).shape == (5, 5)
     with pytest.raises(ValueError):
         algebraic_connectivity(make_graph(1, []))
+
+
+def test_size_guard_fires_before_the_matrix_exists():
+    # the 5041-node Laplacian would take 203 MB; the refusal must not
+    g = grid_graph(71, 71)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            laplacian(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_wheel_runtime_under_a_second():
