@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 
@@ -31,28 +32,27 @@ def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> Attack
 
     With recompute (the default, the stricter worst case) degrees are
     re-evaluated on the degraded graph after every removal; otherwise the
-    initial degrees fix the whole order.
+    initial degrees fix the whole order.  One lazy max-heap of (-degree, id)
+    serves both; popped entries with a stale degree are skipped: O((n+m) log n).
     """
     if not 0 <= count <= g.n:
         raise ValueError(f"count must lie in 0..{g.n}")
-    if recompute:
-        degree = g.degrees()
-        alive = [True] * g.n
-        order = []
-        for _ in range(count):
-            best = -1
-            best_deg = -1
-            for v in range(g.n):
-                if alive[v] and degree[v] > best_deg:
-                    best, best_deg = v, degree[v]
-            order.append(best)
-            alive[best] = False
-            for u in g.adjacency[best]:
+    degree = g.degrees()
+    heap = [(-d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
+    alive = [True] * g.n
+    order = []
+    while len(order) < count:
+        d, v = heapq.heappop(heap)
+        if -d != degree[v]:  # stale; a removed node has no entry left
+            continue
+        order.append(v)
+        alive[v] = False
+        if recompute:
+            for u in g.adjacency[v]:
                 if alive[u]:
                     degree[u] -= 1
-    else:
-        ranked = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-        order = ranked[:count]
+                    heapq.heappush(heap, (-degree[u], u))
     return AttackPlan(kind="node", strategy="degree", order=tuple(order), recompute=recompute)
 
 

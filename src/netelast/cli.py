@@ -65,10 +65,13 @@ def _load_graph(path: str | None, spec: str | None, seed: int) -> tuple[Graph, s
 
 
 def _trials(args) -> int:
-    """--trials, defaulting to DEFAULT_TRIALS for random attacks and 1 otherwise."""
-    if args.trials is not None:
-        return args.trials
-    return DEFAULT_TRIALS if args.attack.startswith("random") else 1
+    """CLI trials rule, in order: an explicit value below 1 is an error, the
+    degree attack runs once, and random attacks default to DEFAULT_TRIALS."""
+    if args.trials is not None and args.trials < 1:
+        raise ValueError("trials must be >= 1")
+    if args.attack == "degree":
+        return 1
+    return DEFAULT_TRIALS if args.trials is None else args.trials
 
 
 def _add_source_options(p: argparse.ArgumentParser) -> None:
@@ -92,18 +95,13 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
 
 
 def _run_config(args, label: str) -> RunConfig:
-    trials = _trials(args)
-    if args.attack == "degree":
-        trials = 1
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     return RunConfig(
         input=args.input,
         generate=args.generate,
         label=label,
         attack=args.attack,
         mode=args.mode,
-        trials=trials,
+        trials=_trials(args),
         seed=args.seed,
         steps=args.steps,
         max_removal_fraction=args.max_removal,

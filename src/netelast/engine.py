@@ -260,6 +260,8 @@ def averaged_elasticity(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if strategy == "degree":
         trials = 1
     args = [

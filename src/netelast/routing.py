@@ -31,7 +31,8 @@ from .graph import Graph, connected_components, edge_ends
 MODES = ("bottleneck", "flow-ratio")
 DEFAULT_MODE = "bottleneck"
 
-# Source-block cap so per-block distance matrices stay within ~tens of MB.
+# Source-block cap: the block x slots arrays of the parent pick (slots = 2m,
+# never fewer than the linked nodes) dominate, so each stays within ~12 MB.
 _BLOCK_CELLS = 1_500_000
 
 
@@ -62,8 +63,8 @@ def delivered_flow_count(g: Graph) -> int:
     return sum(s * (s - 1) for s in connected_components(g).component_sizes)
 
 
-def _csr_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """CSR adjacency (indptr, indices), each slot's node, and its link id.
+def _csr_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three arrays: CSR adjacency (indptr, indices) and each slot's link id.
 
     Nodes without links are dropped: a monotone relabel (np.unique) numbers
     the linked nodes 0..len(indptr)-2 in id order, so routing cost follows
@@ -78,76 +79,69 @@ def _csr_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     order = np.argsort(ends, kind="stable")
     indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
     np.cumsum(np.bincount(ends), out=indptr[1:])
-    return indptr, ends[order ^ 1], ends[order], order // 2
+    return indptr, ends[order ^ 1], order // 2
 
 
 def route_all_pairs(g: Graph) -> FlowAssignment:
     """Route every deliverable ordered pair and tally per-link flows.
 
-    Runs a BFS-distance pass per source (in blocks), then derives each
-    node's parent as its lowest-id neighbor one hop closer to the source.
+    Runs a BFS-distance pass per source (in blocks).  A reachable node's
+    parent is its lowest-id neighbor one hop closer to the source; as no
+    neighbor is closer still and slots ascend by neighbor id, its slot is
+    the first minimum of the packed key dist[neighbor] * nslots + slot over
+    the node's CSR segment (key % nslots), exact while n * nslots < 2**53.
     Flow counts follow Brandes' (2001) dependency accumulation with a single
     predecessor: subtree sizes of the per-source routing trees, summed
-    deepest-first, so no individual path is ever materialized.  The CSR
-    slot that names a node's parent also names the tree link through the
-    slot->link map, so loads land on link ids without any edge lookup.
+    deepest-first, so no individual path is ever materialized.  The parent
+    slot also names the tree link through the slot->link map.
     """
     m = g.m
     if m == 0:
         return FlowAssignment(link_load=np.zeros(m, dtype=np.int64), delivered=0, max_link_load=0)
 
-    # n counts linked nodes only: linkless ones deliver nothing, carry nothing.
-    indptr, indices, slot_node, slot_link = _csr_arrays(g)
+    # n counts linked nodes only: linkless ones deliver nothing, carry nothing,
+    # and every node's CSR segment is non-empty.
+    indptr, indices, slot_link = _csr_arrays(g)
     n = len(indptr) - 1
-    adj = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
-
-    # CSR slot bookkeeping for the vectorized parent selection below.  Every
-    # node has a link, so each reduceat segment is non-empty; the sentinel
-    # value nslots marks "no parent" (the source and unreachable nodes).
     nslots = len(indices)
-    slot_pos = np.arange(nslots, dtype=np.int64)
-    segments = indptr[:-1]
+    adj = csr_matrix((np.ones(nslots, dtype=np.int8), indices, indptr), shape=(n, n))
+    slots = np.arange(nslots)
 
     load_acc = np.zeros(m, dtype=np.float64)
     delivered = 0
-    block = max(1, _BLOCK_CELLS // n)
+    block = max(1, _BLOCK_CELLS // nslots)
     for start in range(0, n, block):
         sources = np.arange(start, min(start + block, n))
         dist = dijkstra(adj, directed=True, unweighted=True, indices=sources)
-        if dist.ndim == 1:
-            dist = dist[np.newaxis, :]
-        reachable = np.isfinite(dist)
-        delivered += int(reachable.sum()) - len(sources)
+        key = dist[:, indices]
+        key *= nslots
+        key += slots
+        first_key = np.minimum.reduceat(key, indptr[:-1], axis=1).ravel()
+        del key  # free the block x slots array before the per-cell ones
 
-        # Parent slot of v toward s: mark eligible CSR slots (neighbor one hop
-        # closer to s), then take each node's first eligible slot (neighbor
-        # lists are ascending, so first slot = lowest-id neighbor).
-        eligible = dist[:, indices] + 1.0 == dist[:, slot_node]
-        slot_or_sentinel = np.where(eligible, slot_pos, nslots)
-        first_slot = np.minimum.reduceat(slot_or_sentinel, segments, axis=1)
+        # Routed pairs are the flat cells of the block, deepest first; a
+        # cell's parent is the cell of the same source at the parent node.
+        flat_dist = dist.ravel()
+        child = np.flatnonzero((flat_dist > 0) & (flat_dist < np.inf))
+        delivered += len(child)
+        depth = flat_dist[child]
+        order = np.argsort(-depth)
+        child, depth = child[order], depth[order]
+        slot = first_key[child].astype(np.int64) % nslots
+        parent = child // n * n + indices[slot]
 
-        # Subtree sizes of the routing trees, accumulated deepest-first.
-        size = reachable.astype(np.float64)
-        rows, cols = np.nonzero(reachable & (dist > 0))
-        depth = dist[rows, cols].astype(np.int64)
-        order = np.argsort(-depth, kind="stable")
-        rows, cols, depth = rows[order], cols[order], depth[order]
-        flat = size.ravel()
-        child_idx = rows * n + cols
-        parent_slot = first_slot[rows, cols]
-        parent_idx = rows * n + indices[parent_slot]
+        # Subtree sizes of the routing trees, accumulated level by level; the
+        # sizes are exact integers, so the order within a level is free.
+        size = np.ones(dist.size)
         cuts = np.flatnonzero(np.diff(depth)) + 1
-        for lo, hi in zip(
-            np.concatenate(([0], cuts)), np.concatenate((cuts, [len(depth)]))
-        ):
-            np.add.at(flat, parent_idx[lo:hi], flat[child_idx[lo:hi]])
+        for kids, parents in zip(np.split(child, cuts), np.split(parent, cuts)):
+            np.add.at(size, parents, size[kids])
 
         # Each tree edge (parent, v) carries one flow per node in v's subtree.
-        load_acc += np.bincount(slot_link[parent_slot], weights=flat[child_idx], minlength=m)
+        load_acc += np.bincount(slot_link[slot], weights=size[child], minlength=m)
 
     link_load = load_acc.astype(np.int64)
-    max_load = int(link_load.max()) if m else 0
-    return FlowAssignment(link_load=link_load, delivered=delivered, max_link_load=max_load)
+    return FlowAssignment(link_load=link_load, delivered=delivered, max_link_load=int(link_load.max()))
 
 
 def raw_throughput(fa: FlowAssignment) -> ThroughputSample:

@@ -29,8 +29,16 @@ def test_targeted_tie_break_lowest_id():
 
 
 def test_targeted_static_uses_initial_degrees():
+    from netelast import erdos_renyi
+
     plan = plan_targeted_degree(path_graph(4), 2, recompute=False)
     assert plan.order == (1, 2)  # initial degrees 1,2,2,1; ties by id
+    for seed in range(8):
+        g = erdos_renyi(30, 0.15, seed=seed)
+        deg = g.degrees()
+        ranked = sorted(range(g.n), key=lambda v: (-deg[v], v))
+        assert plan_targeted_degree(g, g.n, recompute=False).order == tuple(ranked)
+        assert plan_targeted_degree(g, 10, recompute=False).order == tuple(ranked[:10])
 
 
 def test_targeted_greedy_invariant():
@@ -43,7 +51,8 @@ def test_targeted_greedy_invariant():
         for victim in plan.order:
             current, survivors = remove_nodes(g, removed)
             degree_of = {old: current.degree(new) for new, old in enumerate(survivors)}
-            assert degree_of[victim] == max(degree_of.values())
+            top = max(degree_of.values())
+            assert victim == min(v for v, d in degree_of.items() if d == top)
             removed.append(victim)
 
 

@@ -160,3 +160,20 @@ def test_bad_generator_spec(capsys):
     code, _, err = run(capsys, "metrics", "--generate", "moebius:5")
     assert code == 1
     assert "error:" in err
+
+
+def test_trials_and_jobs_below_one_exit_1(tmp_path, capsys):
+    outputs = {
+        "elasticity": ["--outdir", str(tmp_path)],
+        "scatter": ["--csv-out", str(tmp_path / "scatter.csv")],
+    }
+    for command, output in outputs.items():
+        for flag in ("--trials", "--jobs"):
+            code, _, err = run(
+                capsys,
+                command, "--generate", "path:5", "--attack", "degree",
+                flag, "0", "--steps", "2", *output,
+            )
+            assert code == 1, (command, flag)
+            assert f"{flag[2:]} must be >= 1" in err
+    assert not list(tmp_path.iterdir())

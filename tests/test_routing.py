@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from netelast import (
     ThroughputSample,
     complete_graph,
     erdos_renyi,
+    grid_graph,
     make_graph,
     normalized_throughput,
     path_graph,
@@ -14,6 +16,7 @@ from netelast import (
     remove_links,
     remove_nodes,
     route_all_pairs,
+    scale_free_ba,
     star_graph,
     wheel_graph,
 )
@@ -66,7 +69,11 @@ def test_oracle_equivalence_random_graphs():
 
 
 def test_oracle_equivalence_fixtures():
-    for g in (path_graph(7), complete_graph(6), star_graph(6), wheel_graph(8)):
+    # BA-1024 is the bottleneck-mode scale the benchmark sweeps
+    for g in (
+        path_graph(7), complete_graph(6), star_graph(6), wheel_graph(8),
+        scale_free_ba(1024, 3, 3, seed=42),
+    ):
         assert_matches_oracle(g)
 
 
@@ -144,14 +151,27 @@ def test_link_load_is_integer_array():
 
 
 def test_source_blocking(monkeypatch):
-    # force the multi-block path that normally only triggers on large graphs
+    # force the multi-block path that normally only triggers on large graphs:
+    # a deep tie-heavy grid, two components plus isolated nodes, and K9 with
+    # slots >> n, each routed one source per block and in blocks of 5 sources
+    # (5 divides none of their linked-node counts)
     import netelast.routing as routing
 
-    g = erdos_renyi(26, 0.3, seed=13)
-    expected = route_all_pairs(g)
-    monkeypatch.setattr(routing, "_BLOCK_CELLS", 100)
-    fa = routing.route_all_pairs(g)
-    assert fa.delivered == expected.delivered
-    assert fa.max_link_load == expected.max_link_load
-    assert fa.link_load.tolist() == expected.link_load.tolist()
-    assert_matches_oracle(g)
+    two_parts = make_graph(14, [(0, 3), (3, 5), (5, 0), (5, 8), (2, 9), (9, 12), (12, 13)])
+    for g in (erdos_renyi(26, 0.3, seed=13), grid_graph(6, 7), two_parts, complete_graph(9)):
+        for cells in (1, 5 * 2 * g.m):
+            monkeypatch.setattr(routing, "_BLOCK_CELLS", cells)
+            assert_matches_oracle(g)
+
+
+def test_route_memory_is_bounded_by_block_cells():
+    # K200 has 39,800 slots: blocks sized by nodes would hold all 200 sources
+    # and a 64 MB key array; sized by slots, each block array stays ~12 MB
+    g = complete_graph(200)
+    tracemalloc.start()
+    try:
+        route_all_pairs(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
