@@ -59,10 +59,9 @@ from .routing import (
     DEFAULT_MODE,
     MODES,
     FlowAssignment,
-    ThroughputSample,
     normalized_throughput,
-    raw_throughput,
     route_all_pairs,
+    throughput,
 )
 from .spectral import (
     DEFAULT_SIZE_GUARD,
@@ -95,7 +94,6 @@ __all__ = [
     "SizeGuardError",
     "SpectralSummary",
     "ThroughputCurve",
-    "ThroughputSample",
     "algebraic_connectivity",
     "area_under_curve",
     "assortativity",
@@ -119,7 +117,6 @@ __all__ = [
     "plan_random_links",
     "plan_random_nodes",
     "plan_targeted_degree",
-    "raw_throughput",
     "remove_links",
     "remove_nodes",
     "route_all_pairs",
@@ -127,5 +124,6 @@ __all__ = [
     "star_graph",
     "summarize",
     "sweep",
+    "throughput",
     "wheel_graph",
 ]

@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .attacks import STRATEGIES
@@ -14,6 +13,7 @@ from .engine import (
     DEFAULT_MAX_REMOVAL,
     DEFAULT_STEPS,
     DEFAULT_TRIALS,
+    AveragedSweep,
     averaged_elasticity,
 )
 from .generators import generate, parse_generator_spec
@@ -21,22 +21,6 @@ from .graph import Graph, dump_edge_list, load_edge_list
 from .metrics import assortativity, degree_histogram, summarize
 from .routing import DEFAULT_MODE, MODES
 from .spectral import DEFAULT_SIZE_GUARD, eigenvalues, laplacian
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One reproducible run; echoed into every JSON output."""
-
-    input: str | None
-    generate: str | None
-    label: str
-    attack: str
-    mode: str
-    trials: int
-    seed: int
-    steps: int
-    max_removal_fraction: float
-    static_degree: bool
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -64,16 +48,6 @@ def _load_graph(path: str | None, spec: str | None, seed: int) -> tuple[Graph, s
     return generate(kind, params, seed=seed), spec.replace(":", "-")
 
 
-def _trials(args) -> int:
-    """CLI trials rule, in order: an explicit value below 1 is an error, the
-    degree attack runs once, and random attacks default to DEFAULT_TRIALS."""
-    if args.trials is not None and args.trials < 1:
-        raise ValueError("trials must be >= 1")
-    if args.attack == "degree":
-        return 1
-    return DEFAULT_TRIALS if args.trials is None else args.trials
-
-
 def _add_source_options(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="edge-list file to load")
@@ -84,7 +58,7 @@ def _add_source_options(p: argparse.ArgumentParser) -> None:
 def _add_sweep_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attack", choices=STRATEGIES, default="degree")
     p.add_argument("--mode", choices=MODES, default=DEFAULT_MODE)
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                    help=f"trials for random attacks (default {DEFAULT_TRIALS}); targeted runs once")
     p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p.add_argument("--max-removal", type=float, default=DEFAULT_MAX_REMOVAL,
@@ -94,43 +68,43 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for trials")
 
 
-def _run_config(args, label: str) -> RunConfig:
-    return RunConfig(
-        input=args.input,
-        generate=args.generate,
-        label=label,
-        attack=args.attack,
-        mode=args.mode,
-        trials=_trials(args),
+def _study(g: Graph, args) -> AveragedSweep:
+    """The sweep study the sweep options ask for; the engine applies the trials rule."""
+    return averaged_elasticity(
+        g,
+        args.attack,
+        trials=args.trials,
         seed=args.seed,
-        steps=args.steps,
         max_removal_fraction=args.max_removal,
-        static_degree=args.static_degree,
+        steps=args.steps,
+        mode=args.mode,
+        recompute=not args.static_degree,
+        jobs=args.jobs,
     )
 
 
 def _cmd_elasticity(args) -> int:
     g, label = _load_graph(args.input, args.generate, args.seed)
     label = args.label or label
-    cfg = _run_config(args, label)
-    study = averaged_elasticity(
-        g,
-        cfg.attack,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        max_removal_fraction=cfg.max_removal_fraction,
-        steps=cfg.steps,
-        mode=cfg.mode,
-        recompute=not cfg.static_degree,
-        jobs=args.jobs,
-    )
+    study = _study(g, args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     curve_path = Path(args.curve_out) if args.curve_out else outdir / f"{label}_curve.csv"
     json_path = Path(args.json_out) if args.json_out else outdir / f"{label}_result.json"
     payload = study.result.to_dict()
     payload["label"] = label
-    payload["config"] = asdict(cfg)
+    payload["config"] = {
+        "input": args.input,
+        "generate": args.generate,
+        "label": label,
+        "attack": args.attack,
+        "mode": args.mode,
+        "trials": study.result.trials,
+        "seed": args.seed,
+        "steps": args.steps,
+        "max_removal_fraction": args.max_removal,
+        "static_degree": args.static_degree,
+    }
     _write_atomic(curve_path, _curve_csv(study.mean_curve))
     _write_atomic(json_path, _json_text(payload))
     print(f"{label} area={study.result.area:.6g} E={study.result.elasticity:.6g}")
@@ -209,17 +183,7 @@ def _cmd_scatter(args) -> int:
     for path, spec in sources:
         g, base = _load_graph(path, spec, args.seed)
         r = assortativity(g) if g.m >= 1 else None
-        study = averaged_elasticity(
-            g,
-            args.attack,
-            trials=_trials(args),
-            seed=args.seed,
-            max_removal_fraction=args.max_removal,
-            steps=args.steps,
-            mode=args.mode,
-            recompute=not args.static_degree,
-            jobs=args.jobs,
-        )
+        study = _study(g, args)
         r_text = "undefined" if r is None else f"{r:.3f}"
         r_col = "undefined" if r is None else f"{r:.6f}"
         rows.append(f"{base}_{r_text},{r_col},{study.result.elasticity:.6f}")

@@ -19,15 +19,7 @@ import numpy as np
 
 from .attacks import AttackPlan, plan_random_links, plan_random_nodes, plan_targeted_degree
 from .graph import Graph, edge_ends
-from .routing import (
-    DEFAULT_MODE,
-    MODES,
-    ThroughputSample,
-    delivered_flow_count,
-    normalized_throughput,
-    raw_throughput,
-    route_all_pairs,
-)
+from .routing import DEFAULT_MODE, MODES, normalized_throughput, throughput
 
 DEFAULT_STEPS = 80
 DEFAULT_MAX_REMOVAL = 0.8
@@ -152,12 +144,7 @@ def sweep(
     targets = _batch_targets(total, max_removal_fraction, steps)
     rank = _link_ranks(g, plan, targets[-1] if targets else 0)
 
-    # flow-ratio needs only deliverable-pair counts, which come straight
-    # from component sizes; routing is required for the bottleneck mode.
-    if mode == "flow-ratio":
-        baseline = ThroughputSample(raw=math.nan, delivered=delivered_flow_count(g))
-    else:
-        baseline = raw_throughput(route_all_pairs(g))
+    baseline = throughput(g, mode)
     samples = [(1.0, 1.0)]
     clamp_events = 0
     previous = 0

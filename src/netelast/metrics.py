@@ -25,9 +25,6 @@ class DegreeHistogram:
     counts: dict[int, int]
     n: int
 
-    def fraction(self, degree: int) -> float:
-        return self.counts.get(degree, 0) / self.n
-
     def items(self) -> list[tuple[int, int]]:
         return sorted(self.counts.items())
 

@@ -50,14 +50,6 @@ class FlowAssignment:
     max_link_load: int
 
 
-@dataclass(frozen=True)
-class ThroughputSample:
-    """Raw throughput delivered/max_link_load plus the flow count behind it."""
-
-    raw: float
-    delivered: int
-
-
 def delivered_flow_count(g: Graph) -> int:
     """Deliverable ordered pairs without routing: sum of s*(s-1) per component."""
     return sum(s * (s - 1) for s in connected_components(g).component_sizes)
@@ -144,28 +136,28 @@ def route_all_pairs(g: Graph) -> FlowAssignment:
     return FlowAssignment(link_load=link_load, delivered=delivered, max_link_load=int(link_load.max()))
 
 
-def raw_throughput(fa: FlowAssignment) -> ThroughputSample:
-    """Deliverable flow count over bottleneck load; 0 when nothing routes."""
-    raw = fa.delivered / fa.max_link_load if fa.max_link_load else 0.0
-    return ThroughputSample(raw=raw, delivered=fa.delivered)
+def throughput(g: Graph, mode: str = DEFAULT_MODE) -> float:
+    """Throughput of g as mode measures it; no other function picks a measure.
 
-
-def normalized_throughput(
-    g_current: Graph, baseline: ThroughputSample, mode: str = DEFAULT_MODE
-) -> float:
-    """Throughput of g_current relative to the intact-graph baseline.
-
-    bottleneck mode divides raw throughputs; flow-ratio mode divides
-    deliverable flow counts.  Both give exactly 1 for the intact graph and
-    0 when the baseline itself delivered nothing.
+    bottleneck mode routes every pair and returns deliverable pairs over the
+    bottleneck load, 0.0 when nothing routes; flow-ratio mode returns the
+    deliverable pair count (an int, so ratios of counts divide exactly as
+    int/int) from component sizes, without routing.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
     if mode == "flow-ratio":
-        if baseline.delivered == 0:
-            return 0.0
-        return delivered_flow_count(g_current) / baseline.delivered
-    if baseline.raw == 0.0:
-        return 0.0
-    fa = route_all_pairs(g_current)
-    return raw_throughput(fa).raw / baseline.raw
+        return delivered_flow_count(g)
+    fa = route_all_pairs(g)
+    return fa.delivered / fa.max_link_load if fa.max_link_load else 0.0
+
+
+def normalized_throughput(g_current: Graph, baseline: float, mode: str = DEFAULT_MODE) -> float:
+    """Throughput of g_current relative to the intact graph's, baseline.
+
+    baseline is throughput(intact, mode).  The intact graph scores exactly
+    1, and every graph scores 0 when the baseline itself is 0; an unknown
+    mode is rejected even then.
+    """
+    current = throughput(g_current, mode)
+    return current / baseline if baseline else 0.0

@@ -55,7 +55,7 @@ def test_c1_wheel_lambda2():
 @criterion(2, "wheel W6 hub removal keeps 20/30 of flows (flow-ratio, 1e-12)")
 def test_c2_wheel_hub_flow_ratio():
     w6 = ne.wheel_graph(6)
-    baseline = ne.raw_throughput(ne.route_all_pairs(w6))
+    baseline = ne.throughput(w6, "flow-ratio")
     cut, _ = ne.remove_nodes(w6, {0})
     tp = ne.normalized_throughput(cut, baseline, "flow-ratio")
     assert tp == pytest.approx(20 / 30, abs=1e-12)
@@ -170,6 +170,27 @@ def test_c7_qualitative_orderings(big_graphs):
     assert ba_random.result.elasticity > ba_targeted.result.elasticity
     r = ne.assortativity(ba)
     assert r is not None and r < 0.0
+
+
+def test_bottleneck_sweep_at_scale(big_graphs):
+    # the paper's default mode at the scale the criteria above sweep only in
+    # flow-ratio; area and clamp count pin the byte-identical outputs
+    g = big_graphs["ba"]
+    study = ne.averaged_elasticity(g, "degree", seed=42)
+    result, samples = study.result, study.mean_curve.samples
+    assert result.mode == "bottleneck"
+    assert result.elasticity == result.area / 80.0
+    assert result.area == 38.59634385940377 and result.clamp_events == 32
+    assert len(samples) == 81
+    assert all(a[0] > b[0] for a, b in zip(samples, samples[1:]))
+
+    plan = ne.plan_targeted_degree(g, g.n)
+    baseline = ne.throughput(g)
+    for k in (1, 40, 80):
+        target = int(k * 0.8 * g.n / 80 + 0.5)
+        current, _ = ne.remove_nodes(g, plan.order[:target])
+        tp = min(ne.normalized_throughput(current, baseline), 1.0)
+        assert samples[k] == ((g.n - target) / g.n, tp)
 
 
 @criterion(8, "lambda2 ordering disagrees with elasticity ordering (wheel vs grid)")

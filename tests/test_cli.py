@@ -31,6 +31,33 @@ def test_elasticity_star_flow_ratio(tmp_path, capsys):
     assert payload["trials"] == 1
 
 
+def test_elasticity_echoes_whole_config(tmp_path, capsys):
+    path = tmp_path / "p5.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n")
+    runs = [
+        # the degree attack runs once whatever --trials asks
+        (["--input", str(path), "--attack", "degree", "--trials", "5", "--static-degree",
+          "--mode", "flow-ratio", "--seed", "3", "--steps", "4", "--max-removal", "0.6",
+          "--label", "p5-static"],
+         {"input": str(path), "generate": None, "label": "p5-static", "attack": "degree",
+          "mode": "flow-ratio", "trials": 1, "seed": 3, "steps": 4,
+          "max_removal_fraction": 0.6, "static_degree": True}),
+        # random attacks default to 20 trials
+        (["--generate", "star:6", "--attack", "random-link", "--steps", "5"],
+         {"input": None, "generate": "star:6", "label": "star-6", "attack": "random-link",
+          "mode": "bottleneck", "trials": 20, "seed": 42, "steps": 5,
+          "max_removal_fraction": 0.8, "static_degree": False}),
+    ]
+    for argv, config in runs:
+        json_path = tmp_path / "result.json"
+        code, _, _ = run(capsys, "elasticity", *argv, "--json-out", str(json_path),
+                         "--outdir", str(tmp_path))
+        assert code == 0
+        payload = json.loads(json_path.read_text())
+        assert payload["config"] == config
+        assert payload["trials"] == config["trials"]
+
+
 def test_elasticity_deterministic_outputs(tmp_path, capsys):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from netelast import (
     AttackPlan,
     ThroughputCurve,
-    ThroughputSample,
     area_under_curve,
     averaged_elasticity,
     complete_graph,
@@ -20,15 +19,13 @@ from netelast import (
     plan_random_links,
     plan_random_nodes,
     plan_targeted_degree,
-    raw_throughput,
     remove_links,
     remove_nodes,
-    route_all_pairs,
     star_graph,
     sweep,
+    throughput,
     wheel_graph,
 )
-from netelast.routing import delivered_flow_count
 
 
 def make_curve(samples, mrf=0.8, steps=80, mode="flow-ratio", kind="node"):
@@ -209,10 +206,12 @@ def test_averaged_targeted_forces_single_trial():
 
 def test_averaged_jobs_do_not_change_result():
     g = erdos_renyi(20, 0.25, seed=7)
-    serial = averaged_elasticity(g, "random-node", trials=4, seed=11, mode="flow-ratio")
-    parallel = averaged_elasticity(g, "random-node", trials=4, seed=11, mode="flow-ratio", jobs=2)
-    assert serial.result == parallel.result
-    assert serial.mean_curve == parallel.mean_curve
+    for strategy, mode in (("random-node", "flow-ratio"), ("random-link", "bottleneck")):
+        serial = averaged_elasticity(g, strategy, trials=4, seed=11, mode=mode)
+        parallel = averaged_elasticity(g, strategy, trials=4, seed=11, mode=mode, jobs=2)
+        assert serial.result == parallel.result
+        assert serial.mean_curve == parallel.mean_curve
+        assert serial.trial_curves == parallel.trial_curves
 
 
 def test_star_random_beats_targeted_exhaustively():
@@ -260,10 +259,7 @@ def test_elasticity_result_to_dict_keys():
 def reference_sweep(g, plan, fraction, steps, mode):
     """Samples and clamp count from rebuilding every sample with the public removals."""
     total = g.n if plan.kind == "node" else g.m
-    if mode == "flow-ratio":
-        baseline = ThroughputSample(raw=math.nan, delivered=delivered_flow_count(g))
-    else:
-        baseline = raw_throughput(route_all_pairs(g))
+    baseline = throughput(g, mode)
     samples, clamps, previous = [(1.0, 1.0)], 0, 0
     for k in range(1, steps + 1):
         target = int(k * fraction * total / steps + 0.5)

@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 
 from netelast import (
-    ThroughputSample,
     complete_graph,
     erdos_renyi,
     grid_graph,
     make_graph,
     normalized_throughput,
     path_graph,
-    raw_throughput,
     remove_links,
     remove_nodes,
     route_all_pairs,
     scale_free_ba,
     star_graph,
+    throughput,
     wheel_graph,
 )
 from netelast.routing import delivered_flow_count
@@ -53,7 +52,7 @@ def test_no_links_no_flows():
     fa = route_all_pairs(make_graph(2, []))
     assert fa.delivered == 0
     assert fa.max_link_load == 0
-    assert raw_throughput(fa).raw == 0.0
+    assert throughput(make_graph(2, [])) == 0.0
 
 
 def test_empty_graph():
@@ -106,43 +105,48 @@ def test_link_removal_never_increases_delivered():
         assert after <= before
 
 
-def test_raw_throughput_values():
-    assert raw_throughput(route_all_pairs(path_graph(3))).raw == pytest.approx(1.5)
-    assert raw_throughput(route_all_pairs(complete_graph(3))).raw == pytest.approx(3.0)
+def test_throughput_values():
+    assert throughput(path_graph(3)) == pytest.approx(1.5)
+    assert throughput(complete_graph(3), "bottleneck") == pytest.approx(3.0)
+    # flow-ratio counts deliverable ordered pairs, as an exact int
+    count = throughput(wheel_graph(6), "flow-ratio")
+    assert type(count) is int and count == 30
 
 
 def test_normalized_identity_is_exactly_one():
     for g in (path_graph(5), wheel_graph(6)):
-        base = raw_throughput(route_all_pairs(g))
-        assert normalized_throughput(g, base, "bottleneck") == 1.0
-        assert normalized_throughput(g, base, "flow-ratio") == 1.0
+        for mode in ("bottleneck", "flow-ratio"):
+            assert normalized_throughput(g, throughput(g, mode), mode) == 1.0
 
 
 def test_normalized_wheel_hub_removal():
     w6 = wheel_graph(6)
-    base = raw_throughput(route_all_pairs(w6))
+    base = throughput(w6, "flow-ratio")
     cut, _ = remove_nodes(w6, {0})
     assert normalized_throughput(cut, base, "flow-ratio") == pytest.approx(20 / 30, abs=1e-12)
 
 
 def test_normalized_p3_node_removal():
     p3 = path_graph(3)
-    base = raw_throughput(route_all_pairs(p3))
+    base = throughput(p3, "flow-ratio")
     cut, _ = remove_nodes(p3, {2})
     assert normalized_throughput(cut, base, "flow-ratio") == pytest.approx(2 / 6, abs=1e-12)
 
 
 def test_normalized_zero_baseline():
     empty = make_graph(3, [])
-    base = raw_throughput(route_all_pairs(empty))
-    assert normalized_throughput(empty, base, "bottleneck") == 0.0
-    assert normalized_throughput(empty, base, "flow-ratio") == 0.0
+    for mode in ("bottleneck", "flow-ratio"):
+        base = throughput(empty, mode)
+        assert base == 0
+        assert normalized_throughput(empty, base, mode) == 0.0
 
 
 def test_unknown_mode_rejected():
     g = path_graph(3)
     with pytest.raises(ValueError):
-        normalized_throughput(g, ThroughputSample(raw=1.0, delivered=6), "fastest")
+        throughput(g, "fastest")
+    with pytest.raises(ValueError):
+        normalized_throughput(g, 1.5, "fastest")
 
 
 def test_link_load_is_integer_array():
