@@ -17,14 +17,13 @@ class AttackPlan:
 
     kind is "node" or "link"; order holds node ids or canonical (u, v)
     link tuples in removal order, without duplicates.  seed is recorded for
-    stochastic strategies, recompute for the targeted one.
+    stochastic strategies.
     """
 
     kind: str
     strategy: str
     order: tuple
     seed: int | None = None
-    recompute: bool | None = None
 
 
 def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> AttackPlan:
@@ -37,6 +36,7 @@ def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> Attack
     """
     if not 0 <= count <= g.n:
         raise ValueError(f"count must lie in 0..{g.n}")
+    indptr, indices, _ = g.csr
     degree = g.degrees()
     heap = [(-d, v) for v, d in enumerate(degree)]
     heapq.heapify(heap)
@@ -49,11 +49,11 @@ def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> Attack
         order.append(v)
         alive[v] = False
         if recompute:
-            for u in g.adjacency[v]:
+            for u in indices[indptr[v]:indptr[v + 1]].tolist():
                 if alive[u]:
                     degree[u] -= 1
                     heapq.heappush(heap, (-degree[u], u))
-    return AttackPlan(kind="node", strategy="degree", order=tuple(order), recompute=recompute)
+    return AttackPlan(kind="node", strategy="degree", order=tuple(order))
 
 
 def _fisher_yates(count_total: int, rng: random.Random) -> list[int]:

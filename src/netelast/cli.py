@@ -23,7 +23,13 @@ from .routing import DEFAULT_MODE, MODES
 from .spectral import DEFAULT_SIZE_GUARD, eigenvalues, laplacian
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _emit(path: str | Path | None, text: str) -> None:
+    """Write text to path atomically (temporary file, then rename), or to
+    stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
@@ -105,8 +111,8 @@ def _cmd_elasticity(args) -> int:
         "max_removal_fraction": args.max_removal,
         "static_degree": args.static_degree,
     }
-    _write_atomic(curve_path, _curve_csv(study.mean_curve))
-    _write_atomic(json_path, _json_text(payload))
+    _emit(curve_path, _curve_csv(study.mean_curve))
+    _emit(json_path, _json_text(payload))
     print(f"{label} area={study.result.area:.6g} E={study.result.elasticity:.6g}")
     return 0
 
@@ -122,13 +128,10 @@ def _cmd_spectral(args) -> int:
     }
     if args.full_spectrum:
         payload["spectrum"] = list(summary.eigenvalues)
-    text = _json_text(payload)
+    _emit(args.json_out, _json_text(payload))
     if args.json_out:
-        _write_atomic(Path(args.json_out), text)
         lam = "n/a" if summary.lambda2 is None else f"{summary.lambda2:.6g}"
         print(f"{label} lambda2={lam}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -142,11 +145,7 @@ def _cmd_metrics(args) -> int:
         "avg_degree": s.avg_degree,
         "r": "undefined" if s.assortativity is None else s.assortativity,
     }
-    text = _json_text(payload)
-    if args.json_out:
-        _write_atomic(Path(args.json_out), text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.json_out, _json_text(payload))
     return 0
 
 
@@ -155,22 +154,15 @@ def _cmd_ndd(args) -> int:
     hist = degree_histogram(g)
     lines = ["degree,count,fraction"]
     lines += [f"{d},{c},{c / g.n:.6f}" for d, c in hist.items()]
-    text = "\n".join(lines) + "\n"
-    if args.csv_out:
-        _write_atomic(Path(args.csv_out), text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.csv_out, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_generate(args) -> int:
     g, _ = _load_graph(None, args.spec, args.seed)
-    text = dump_edge_list(g)
+    _emit(args.output, dump_edge_list(g))
     if args.output:
-        _write_atomic(Path(args.output), text)
         print(f"{args.spec} n={g.n} m={g.m} -> {args.output}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -187,11 +179,7 @@ def _cmd_scatter(args) -> int:
         r_text = "undefined" if r is None else f"{r:.3f}"
         r_col = "undefined" if r is None else f"{r:.6f}"
         rows.append(f"{base}_{r_text},{r_col},{study.result.elasticity:.6f}")
-    text = "\n".join(["graph_label,r,E"] + rows) + "\n"
-    if args.csv_out:
-        _write_atomic(Path(args.csv_out), text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.csv_out, "\n".join(["graph_label,r,E"] + rows) + "\n")
     return 0
 
 

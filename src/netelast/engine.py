@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import compress
 
 import numpy as np
@@ -209,19 +210,15 @@ def elasticity(curve: ThroughputCurve) -> ElasticityResult:
     )
 
 
-def _trial_plan(g: Graph, strategy: str, seed: int, recompute: bool) -> AttackPlan:
+def _run_trial(g, strategy, recompute, max_removal_fraction, steps, mode, seed) -> ThroughputCurve:
     if strategy == "degree":
-        return plan_targeted_degree(g, g.n, recompute=recompute)
-    if strategy == "random-node":
-        return plan_random_nodes(g, g.n, seed)
-    if strategy == "random-link":
-        return plan_random_links(g, g.m, seed)
-    raise ValueError(f"unknown attack strategy {strategy!r}")
-
-
-def _run_trial(args) -> ThroughputCurve:
-    g, strategy, seed, recompute, max_removal_fraction, steps, mode = args
-    plan = _trial_plan(g, strategy, seed, recompute)
+        plan = plan_targeted_degree(g, g.n, recompute=recompute)
+    elif strategy == "random-node":
+        plan = plan_random_nodes(g, g.n, seed)
+    elif strategy == "random-link":
+        plan = plan_random_links(g, g.m, seed)
+    else:
+        raise ValueError(f"unknown attack strategy {strategy!r}")
     return sweep(g, plan, max_removal_fraction, steps, mode)
 
 
@@ -251,15 +248,13 @@ def averaged_elasticity(
         raise ValueError("jobs must be >= 1")
     if strategy == "degree":
         trials = 1
-    args = [
-        (g, strategy, seed + k, recompute, max_removal_fraction, steps, mode)
-        for k in range(trials)
-    ]
+    run = partial(_run_trial, g, strategy, recompute, max_removal_fraction, steps, mode)
+    seeds = range(seed, seed + trials)
     if jobs > 1 and trials > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, trials)) as pool:
-            curves = tuple(pool.map(_run_trial, args))
+            curves = tuple(pool.map(run, seeds))
     else:
-        curves = tuple(_run_trial(a) for a in args)
+        curves = tuple(map(run, seeds))
 
     fractions = [f for f, _ in curves[0].samples]
     for c in curves[1:]:

@@ -118,30 +118,33 @@ _GENERATORS = {
 _ALIASES = {"er": "erdos_renyi", "ba": "scale_free_ba"}
 
 
-def generate(kind: str, params: Sequence, seed: int = 0) -> Graph:
-    """Build a named topology; deterministic given (kind, params, seed)."""
-    kind = _ALIASES.get(kind, kind)
+def _resolve(name: str, params: Sequence) -> tuple[str, tuple]:
+    """The kind name (or alias) resolves to and params cast to its signature.
+
+    Every failure is a ValueError; a casting one quotes name and params
+    joined by colons, the spec that parse_generator_spec reads.
+    """
+    kind = _ALIASES.get(name, name)
     if kind not in _GENERATORS:
-        raise ValueError(f"unknown topology kind {kind!r}")
-    fn, sig, seeded = _GENERATORS[kind]
+        raise ValueError(f"unknown topology kind {name!r}")
+    _, sig, _ = _GENERATORS[kind]
     if len(params) != len(sig):
         raise ValueError(f"{kind} takes {len(sig)} parameter(s), got {len(params)}")
-    args = [cast(p) for cast, p in zip(sig, params)]
+    try:
+        return kind, tuple(cast(p) for cast, p in zip(sig, params))
+    except ValueError:
+        spec = ":".join([name, *map(str, params)])
+        raise ValueError(f"bad parameters in generator spec {spec!r}") from None
+
+
+def generate(kind: str, params: Sequence, seed: int = 0) -> Graph:
+    """Build a named topology; deterministic given (kind, params, seed)."""
+    kind, args = _resolve(kind, params)
+    fn, _, seeded = _GENERATORS[kind]
     return fn(*args, seed) if seeded else fn(*args)
 
 
 def parse_generator_spec(spec: str) -> tuple[str, tuple]:
     """Parse compact ``kind:param:param`` syntax, e.g. ``ba:1000:3:3``."""
-    parts = spec.split(":")
-    kind = _ALIASES.get(parts[0], parts[0])
-    if kind not in _GENERATORS:
-        raise ValueError(f"unknown topology kind {parts[0]!r}")
-    _, sig, _ = _GENERATORS[kind]
-    raw = parts[1:]
-    if len(raw) != len(sig):
-        raise ValueError(f"{kind} takes {len(sig)} parameter(s), got {len(raw)}")
-    try:
-        params = tuple(cast(p) for cast, p in zip(sig, raw))
-    except ValueError:
-        raise ValueError(f"bad parameters in generator spec {spec!r}") from None
-    return kind, params
+    name, *params = spec.split(":")
+    return _resolve(name, params)

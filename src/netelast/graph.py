@@ -44,19 +44,24 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> list[list[int]]:
-        """Ascending neighbor lists, built on first use from canonical edges."""
-        adjacency: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        return adjacency
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The graph's neighbor structure, built on first use: CSR adjacency
+        (indptr, indices) over all n nodes and each slot's link id.
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        Stable-sorting the flattened canonical edge list by endpoint lists
+        each node's links in canonical order, which is ascending neighbor
+        order (all lower neighbors precede all upper ones), i.e. exactly the
+        sorted adjacency.  Entry 2e or 2e+1 of the flattened list belongs to
+        link e, so the sort permutation itself is the slot->link map.
+        """
+        ends = edge_ends(self)
+        order = np.argsort(ends, kind="stable")
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=self.n), out=indptr[1:])
+        return indptr, ends[order ^ 1], order // 2
 
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adjacency]
+        return np.diff(self.csr[0]).tolist()
 
 
 @dataclass(frozen=True)
@@ -93,13 +98,14 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
     """Parse edge-list text into a Graph.
 
     Format: one link per line as ``<u> <v>`` (whitespace separated,
-    nonnegative integers); blank lines and lines starting with ``#`` are
-    ignored.  Self-loops are dropped and duplicates deduplicated (a node
-    mentioned only in a self-loop still counts as present).  External ids
-    that already form a dense 0..n-1 range are kept verbatim, so canonical
-    serializations reload to the identical graph; anything sparser is
-    relabeled to dense ids in first-appearance order, with the original ids
-    retained as labels.  Empty input gives the empty graph.
+    nonnegative integers written as ASCII digits ``[0-9]+``: no sign,
+    underscore or non-ASCII digit); blank lines and lines starting with
+    ``#`` are ignored.  Self-loops are dropped and duplicates deduplicated
+    (a node mentioned only in a self-loop still counts as present).
+    External ids that already form a dense 0..n-1 range are kept verbatim,
+    so canonical serializations reload to the identical graph; anything
+    sparser is relabeled to dense ids in first-appearance order, with the
+    original ids retained as labels.  Empty input gives the empty graph.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     appearance: list[int] = []
@@ -113,12 +119,10 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
         tokens = text.split()
         if len(tokens) != 2:
             raise EdgeListParseError(line_no, f"expected two integer tokens, got {text!r}")
-        try:
-            a, b = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListParseError(line_no, f"expected two integer tokens, got {text!r}") from None
-        if a < 0 or b < 0:
-            raise EdgeListParseError(line_no, "node ids must be nonnegative")
+        u, v = tokens
+        if not (u.isdigit() and v.isdigit() and u.isascii() and v.isascii()):
+            raise EdgeListParseError(line_no, f"node ids must be nonnegative integers, got {text!r}")
+        a, b = int(u), int(v)
         for ext in (a, b):
             if ext not in seen:
                 seen.add(ext)

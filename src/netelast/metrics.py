@@ -23,7 +23,6 @@ class DegreeHistogram:
     """Exact node count per degree value."""
 
     counts: dict[int, int]
-    n: int
 
     def items(self) -> list[tuple[int, int]]:
         return sorted(self.counts.items())
@@ -61,7 +60,7 @@ def degree_histogram(g: Graph) -> DegreeHistogram:
     counts: dict[int, int] = {}
     for d in g.degrees():
         counts[d] = counts.get(d, 0) + 1
-    return DegreeHistogram(counts=counts, n=g.n)
+    return DegreeHistogram(counts=counts)
 
 
 def summarize(g: Graph) -> MetricsSummary:

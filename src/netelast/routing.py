@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .graph import Graph, connected_components, edge_ends
+from .graph import Graph, connected_components
 
 #: Normalization modes for throughput relative to the intact baseline:
 #: "bottleneck" re-derives the bottleneck rate on the degraded graph
@@ -55,25 +55,6 @@ def delivered_flow_count(g: Graph) -> int:
     return sum(s * (s - 1) for s in connected_components(g).component_sizes)
 
 
-def _csr_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three arrays: CSR adjacency (indptr, indices) and each slot's link id.
-
-    Nodes without links are dropped: a monotone relabel (np.unique) numbers
-    the linked nodes 0..len(indptr)-2 in id order, so routing cost follows
-    the linked nodes, not g.n, and lowest-id choices are unchanged.
-    Stable-sorting the flattened canonical edge list by endpoint lists each
-    node's links in canonical order, which is ascending neighbor order
-    (all lower neighbors precede all upper ones), i.e. exactly the sorted
-    adjacency.  Entry 2e or 2e+1 of the flattened list belongs to link e, so
-    the sort permutation itself is the slot->link map.
-    """
-    nodes, ends = np.unique(edge_ends(g), return_inverse=True)
-    order = np.argsort(ends, kind="stable")
-    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends), out=indptr[1:])
-    return indptr, ends[order ^ 1], order // 2
-
-
 def route_all_pairs(g: Graph) -> FlowAssignment:
     """Route every deliverable ordered pair and tally per-link flows.
 
@@ -91,9 +72,13 @@ def route_all_pairs(g: Graph) -> FlowAssignment:
     if m == 0:
         return FlowAssignment(link_load=np.zeros(m, dtype=np.int64), delivered=0, max_link_load=0)
 
-    # n counts linked nodes only: linkless ones deliver nothing, carry nothing,
-    # and every node's CSR segment is non-empty.
-    indptr, indices, slot_link = _csr_arrays(g)
+    # Linkless nodes deliver nothing and carry nothing, so a monotone relabel
+    # drops them: routing cost follows the linked nodes, lowest-id choices are
+    # unchanged, and every node's CSR segment is non-empty.
+    indptr, indices, slot_link = g.csr
+    linked = np.diff(indptr) > 0
+    indptr = np.append(indptr[:-1][linked], len(indices))
+    indices = (np.cumsum(linked) - 1)[indices]
     n = len(indptr) - 1
     nslots = len(indices)
     adj = csr_matrix((np.ones(nslots, dtype=np.int8), indices, indptr), shape=(n, n))

@@ -43,7 +43,7 @@ def laplacian(g: Graph, size_guard: int = DEFAULT_SIZE_GUARD) -> np.ndarray:
     ends = edge_ends(g)
     lap = np.zeros((g.n, g.n), dtype=np.float64)
     lap[ends[0::2], ends[1::2]] = lap[ends[1::2], ends[0::2]] = -1.0
-    lap[np.diag_indices(g.n)] = np.bincount(ends, minlength=g.n)
+    lap[np.diag_indices(g.n)] = g.degrees()
     return lap
 
 

@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from netelast import load_edge_list
-from netelast.cli import main
+from netelast.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -204,3 +206,12 @@ def test_trials_and_jobs_below_one_exit_1(tmp_path, capsys):
             assert code == 1, (command, flag)
             assert f"{flag[2:]} must be >= 1" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [line for line in block.splitlines() if line.startswith("netelast ")]
+    assert len(commands) >= 9
+    for line in commands:
+        build_parser().parse_args(shlex.split(line.removeprefix("netelast ")))

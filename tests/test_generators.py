@@ -13,8 +13,7 @@ from netelast import (
 
 def test_wheel_structure():
     g = wheel_graph(6)
-    assert g.degree(0) == 5
-    assert all(g.degree(v) == 3 for v in range(1, 6))
+    assert g.degrees() == [5, 3, 3, 3, 3, 3]
     assert g.m == 10
 
 
@@ -28,8 +27,8 @@ def test_grid_structure():
     g = grid_graph(3, 4)
     assert g.n == 12
     assert g.m == 3 * 3 + 2 * 4  # rows*(cols-1) + cols*(rows-1)
-    assert g.degree(0) == 2  # corner
-    assert g.degree(5) == 4  # interior
+    assert g.degrees()[0] == 2  # corner
+    assert g.degrees()[5] == 4  # interior
 
 
 def test_ba_edge_count_and_simplicity():

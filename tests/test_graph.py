@@ -1,7 +1,10 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netelast import (
     EdgeListParseError,
@@ -43,6 +46,11 @@ def test_load_parse_error_reports_line():
     assert exc.value.line_no == 2
     with pytest.raises(EdgeListParseError):
         load_edge_list("0 -1")
+    # int() would read these as 10, 3 and 3; ids are ASCII digits only
+    for bad in ("1_0 2", "+3 4", "\u0663 1"):
+        with pytest.raises(EdgeListParseError) as exc:
+            load_edge_list(f"0 1\n{bad}\n")
+        assert exc.value.line_no == 2
 
 
 def test_load_empty_and_comments():
@@ -114,8 +122,8 @@ def test_remove_nodes_degree_recount():
         victims = {v for v in range(g.n) if rng.random() < 0.3}
         h, survivors = remove_nodes(g, victims)
         for new_id, old in enumerate(survivors):
-            expected = sum(1 for u in g.adjacency[old] if u not in victims)
-            assert h.degree(new_id) == expected
+            expected = sum(1 for e in g.edges if old in e and not victims & set(e))
+            assert h.degrees()[new_id] == expected
 
 
 def test_remove_links():
@@ -169,3 +177,29 @@ def test_round_trip_preserves_structure():
         assert sorted(connected_components(again).component_sizes) == sorted(
             s for s in connected_components(g).component_sizes if s > 1
         )
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 16))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=40)) if n else []
+    return make_graph(n, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs())
+@example(g=make_graph(0, []))
+def test_csr_rows_slot_links_and_degrees(g):
+    indptr, indices, slot_link = g.csr
+    assert len(indptr) == g.n + 1 and len(indices) == len(slot_link) == 2 * g.m
+    degree = [0] * g.n
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    assert np.diff(indptr).tolist() == degree == g.degrees()
+    for v in range(g.n):
+        row = indices[indptr[v]:indptr[v + 1]].tolist()
+        assert row == sorted(row)
+        for s in range(indptr[v], indptr[v + 1]):
+            assert g.edges[slot_link[s]] == (min(v, indices[s]), max(v, indices[s]))
