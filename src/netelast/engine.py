@@ -1,11 +1,13 @@
 """Attack sweeps: sample the throughput curve, integrate it, normalize to E.
 
-A sweep removes the planned entities in equal batches, re-routes all
-remaining traffic from scratch after each batch, and records
-(fraction_remaining, normalized throughput) points.  Elasticity is the
-trapezoid area under that curve on a percent axis, divided by the maximal
-possible area 100 * max_removal_fraction, so a curve pinned at 1 over the
-full sweep scores exactly 1.
+A sweep removes the planned entities in equal batches and records one
+(fraction_remaining, normalized throughput) point per batch.  Routing
+measures every batch's sample in one call: bottleneck mode re-routes each
+sample from scratch, flow-ratio mode counts deliverable pairs in one reverse
+union-find pass over the whole sweep.  Elasticity is the trapezoid area
+under that curve on a percent axis, divided by the maximal possible area
+100 * max_removal_fraction, so a curve pinned at 1 over the full sweep
+scores exactly 1.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import compress
 
 import numpy as np
 
 from .attacks import AttackPlan, plan_random_links, plan_random_nodes, plan_targeted_degree
 from .graph import Graph, edge_ends
-from .routing import DEFAULT_MODE, MODES, normalized_throughput, throughput
+from .routing import DEFAULT_MODE, MODES, masked_throughputs
 
 DEFAULT_STEPS = 80
 DEFAULT_MAX_REMOVAL = 0.8
@@ -121,14 +122,14 @@ def sweep(
 ) -> ThroughputCurve:
     """Run one attack sweep and sample the normalized throughput curve.
 
-    Entities are removed in plan order over `steps` equal batches, always
-    starting again from the intact graph: a sample is g masked to the links
-    whose rank (_link_ranks) reaches the batch target, so removed nodes stay
-    as isolated nodes, which deliver nothing and carry no load.  Batches
-    that round to no removals are skipped, keeping the fraction axis
-    strictly decreasing.  A degenerate baseline (nothing deliverable in the
-    intact graph) yields the conventional curve 1 at the intact sample and
-    0 afterwards.
+    Entities are removed in plan order over `steps` equal batches.  A
+    sample is g masked to the links whose rank (_link_ranks) reaches the
+    batch target, so removed nodes stay as isolated nodes, which deliver
+    nothing and carry no load; one masked_throughputs call measures the
+    intact graph and every sample.  Batches that round to no removals are
+    skipped, keeping the fraction axis strictly decreasing.  A degenerate
+    baseline (nothing deliverable in the intact graph) yields the
+    conventional curve 1 at the intact sample and 0 afterwards.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
@@ -145,17 +146,12 @@ def sweep(
     targets = _batch_targets(total, max_removal_fraction, steps)
     rank = _link_ranks(g, plan, targets[-1] if targets else 0)
 
-    baseline = throughput(g, mode)
+    removed = sorted(set(targets) - {0})
+    baseline, *values = masked_throughputs(g, rank, [0, *removed], mode)
     samples = [(1.0, 1.0)]
     clamp_events = 0
-    previous = 0
-    for target in targets:
-        if target == previous:
-            continue
-        previous = target
-        kept = list(compress(g.edges, (rank >= target).tolist()))
-        current = Graph(n=g.n, edges=kept, labels=g.labels)
-        tp = normalized_throughput(current, baseline, mode)
+    for target, value in zip(removed, values):
+        tp = value / baseline if baseline else 0.0
         if tp > 1.0:
             clamp_events += 1
             tp = 1.0

@@ -1,8 +1,11 @@
 import json
 import shlex
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netelast import load_edge_list
 from netelast.cli import build_parser, main
@@ -215,3 +218,26 @@ def test_readme_command_lines_parse():
     assert len(commands) >= 9
     for line in commands:
         build_parser().parse_args(shlex.split(line.removeprefix("netelast ")))
+
+
+@pytest.mark.parametrize("mode", ["bottleneck", "flow-ratio"])
+@pytest.mark.parametrize("attack", ["degree", "random-node", "random-link"])
+@settings(max_examples=5, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=30),
+    seed=st.integers(0, 1000),
+)
+def test_jobs_never_change_output_bytes(attack, mode, pairs, seed):
+    # few examples: every --jobs above 1 starts a process pool
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+        outputs = []
+        for jobs in (1, 2, 3):
+            outdir = Path(tmp) / f"jobs{jobs}"
+            code = main(["elasticity", "--input", str(path), "--attack", attack, "--mode", mode,
+                         "--trials", "3", "--seed", str(seed), "--steps", "10",
+                         "--jobs", str(jobs), "--label", "g", "--outdir", str(outdir)])
+            assert code == 0
+            outputs.append([(outdir / name).read_bytes() for name in ("g_curve.csv", "g_result.json")])
+        assert outputs[0] == outputs[1] == outputs[2]

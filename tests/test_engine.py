@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -316,3 +317,27 @@ def test_sweep_equals_rebuilding_each_sample(g, strategy, mode, steps, fraction,
         # nested removals never raise the deliverable flow count
         tps = [tp for _, tp in curve.samples]
         assert all(a >= b for a, b in zip(tps, tps[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=graphs(),
+    kind=st.sampled_from(["node", "link"]),
+    steps=st.sampled_from([1, 5, 80]),
+    fraction=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 1000),
+    data=st.data(),
+)
+def test_flow_ratio_sweep_invariant_under_relabeling(g, kind, steps, fraction, seed, data):
+    # flow-ratio counts pairs per component, which no node id can change;
+    # bottleneck loads are left out, as lowest-id parents depend on the ids
+    perm = data.draw(st.permutations(range(g.n)))
+    moved = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    if kind == "node":
+        plan = plan_random_nodes(g, g.n, seed)
+        order = tuple(perm[v] for v in plan.order)
+    else:
+        plan = plan_random_links(g, g.m, seed)
+        order = tuple((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in plan.order)
+    curve = sweep(g, plan, fraction, steps, "flow-ratio")
+    assert sweep(moved, replace(plan, order=order), fraction, steps, "flow-ratio") == curve

@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netelast import (
     complete_graph,
+    connected_components,
     erdos_renyi,
     grid_graph,
     make_graph,
@@ -19,7 +22,7 @@ from netelast import (
     throughput,
     wheel_graph,
 )
-from netelast.routing import delivered_flow_count
+from netelast.routing import delivered_flow_count, masked_throughputs
 
 from flow_oracle import brute_force_flows, total_path_length
 
@@ -147,6 +150,8 @@ def test_unknown_mode_rejected():
         throughput(g, "fastest")
     with pytest.raises(ValueError):
         normalized_throughput(g, 1.5, "fastest")
+    with pytest.raises(ValueError):
+        masked_throughputs(g, np.zeros(g.m, dtype=np.int64), [0], "fastest")
 
 
 def test_link_load_is_integer_array():
@@ -179,3 +184,32 @@ def test_route_memory_is_bounded_by_block_cells():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@st.composite
+def ranked_graphs(draw):
+    """A graph with isolated nodes likely, a rank per link and sorted targets
+    that include 0 (every link kept) and one above every rank (none kept)."""
+    n = draw(st.integers(0, 14))
+    node = st.integers(0, max(n - 1, 0))
+    g = make_graph(n, draw(st.lists(st.tuples(node, node), max_size=25)) if n else [])
+    rank = draw(st.lists(st.integers(0, 8), min_size=g.m, max_size=g.m))
+    targets = draw(st.lists(st.integers(0, 9), max_size=6))
+    return g, np.array(rank, dtype=np.int64), sorted([0, 9, *targets])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ranked_graphs())
+@example(case=(make_graph(0, []), np.zeros(0, dtype=np.int64), [0, 0, 1]))
+@example(case=(make_graph(6, []), np.zeros(0, dtype=np.int64), [0, 1]))
+def test_masked_throughputs_equal_each_masked_graph(case):
+    g, rank, targets = case
+    counts = masked_throughputs(g, rank, targets, "flow-ratio")
+    rates = masked_throughputs(g, rank, targets, "bottleneck")
+    assert len(counts) == len(rates) == len(targets)
+    for t, count, rate in zip(targets, counts, rates):
+        masked = make_graph(g.n, [e for e, r in zip(g.edges, rank) if r >= t])
+        assert type(count) is int
+        assert count == sum(s * (s - 1) for s in connected_components(masked).component_sizes)
+        assert rate == throughput(masked, "bottleneck")
+    assert counts[0] == delivered_flow_count(g) == route_all_pairs(g).delivered
