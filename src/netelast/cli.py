@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -25,14 +26,20 @@ from .spectral import DEFAULT_SIZE_GUARD, eigenvalues, laplacian
 
 def _emit(path: str | Path | None, text: str) -> None:
     """Write text to path atomically (temporary file, then rename), or to
-    stdout when no path is given."""
+    stdout when no path is given.  A failed write removes the temporary
+    file and re-raises."""
     if not path:
         sys.stdout.write(text)
         return
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def _json_text(payload: dict) -> str:
@@ -71,7 +78,8 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
                    help="fraction of entities removed by the end of a sweep")
     p.add_argument("--static-degree", action="store_true",
                    help="rank the targeted attack by initial degrees only")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for trials")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="processes that share the samples and trials of a study (default 1)")
 
 
 def _study(g: Graph, args) -> AveragedSweep:

@@ -1,11 +1,15 @@
 """Attack sweeps: sample the throughput curve, integrate it, normalize to E.
 
 A sweep removes the planned entities in equal batches and records one
-(fraction_remaining, normalized throughput) point per batch.  Routing
-measures every batch's sample in one call: bottleneck mode re-routes each
-sample from scratch, flow-ratio mode counts deliverable pairs in one reverse
-union-find pass over the whole sweep.  Elasticity is the trapezoid area
-under that curve on a percent axis, divided by the maximal possible area
+(fraction_remaining, normalized throughput) point per batch.  It runs in
+three steps: prepare (validate, fix the batch targets and each link's
+removal rank), measure (routing's masked_throughputs of the intact graph and
+every sample), finish (normalize and clamp into a curve).  A multi-trial
+study prepares every trial here, then measures the pieces of work routing
+names, one (trial, group of targets) item each, through one map: the
+builtin one, or a process pool's whose workers receive the intact graph and
+the ranks once.  Elasticity is the trapezoid area under the curve on a
+percent axis, divided by the maximal possible area
 100 * max_removal_fraction, so a curve pinned at 1 over the full sweep
 scores exactly 1.
 """
@@ -16,12 +20,13 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
 from .attacks import AttackPlan, plan_random_links, plan_random_nodes, plan_targeted_degree
 from .graph import Graph, edge_ends
-from .routing import DEFAULT_MODE, MODES, masked_throughputs
+from .routing import DEFAULT_MODE, MODES, masked_throughputs, target_groups
 
 DEFAULT_STEPS = 80
 DEFAULT_MAX_REMOVAL = 0.8
@@ -113,24 +118,11 @@ def _link_ranks(g: Graph, plan: AttackPlan, count: int) -> np.ndarray:
     return rank
 
 
-def sweep(
-    g: Graph,
-    plan: AttackPlan,
-    max_removal_fraction: float = DEFAULT_MAX_REMOVAL,
-    steps: int = DEFAULT_STEPS,
-    mode: str = DEFAULT_MODE,
-) -> ThroughputCurve:
-    """Run one attack sweep and sample the normalized throughput curve.
-
-    Entities are removed in plan order over `steps` equal batches.  A
-    sample is g masked to the links whose rank (_link_ranks) reaches the
-    batch target, so removed nodes stay as isolated nodes, which deliver
-    nothing and carry no load; one masked_throughputs call measures the
-    intact graph and every sample.  Batches that round to no removals are
-    skipped, keeping the fraction axis strictly decreasing.  A degenerate
-    baseline (nothing deliverable in the intact graph) yields the
-    conventional curve 1 at the intact sample and 0 afterwards.
-    """
+def _sweep_targets(
+    g: Graph, plan: AttackPlan, max_removal_fraction: float, steps: int, mode: str
+) -> tuple[int, list[int]]:
+    """Validate a sweep; its entity total and the removal targets it measures:
+    0 for the intact graph, then each distinct nonzero batch target, ascending."""
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
     if not 0.0 < max_removal_fraction <= 1.0:
@@ -144,13 +136,41 @@ def sweep(
     if len(plan.order) < needed:
         raise ValueError(f"plan covers {len(plan.order)} entities, sweep needs {needed}")
     targets = _batch_targets(total, max_removal_fraction, steps)
-    rank = _link_ranks(g, plan, targets[-1] if targets else 0)
+    return total, [0, *sorted(set(targets) - {0})]
 
-    removed = sorted(set(targets) - {0})
-    baseline, *values = masked_throughputs(g, rank, [0, *removed], mode)
+
+def sweep(
+    g: Graph,
+    plan: AttackPlan,
+    max_removal_fraction: float = DEFAULT_MAX_REMOVAL,
+    steps: int = DEFAULT_STEPS,
+    mode: str = DEFAULT_MODE,
+    *,
+    throughputs: Sequence[float] | None = None,
+) -> ThroughputCurve:
+    """Run one attack sweep and sample the normalized throughput curve.
+
+    Entities are removed in plan order over `steps` equal batches.  A
+    sample is g masked to the links whose rank (_link_ranks) reaches the
+    batch target, so removed nodes stay as isolated nodes, which deliver
+    nothing and carry no load; one masked_throughputs call measures the
+    intact graph and every sample.  throughputs, when given, are those
+    values already measured elsewhere (averaged_elasticity measures all
+    trials at once).  Batches that round to no removals are skipped,
+    keeping the fraction axis strictly decreasing.  A degenerate baseline
+    (nothing deliverable in the intact graph) yields the conventional curve
+    1 at the intact sample and 0 afterwards.
+    """
+    total, targets = _sweep_targets(g, plan, max_removal_fraction, steps, mode)
+    if throughputs is None:
+        throughputs = masked_throughputs(g, _link_ranks(g, plan, targets[-1]), targets, mode)
+    elif len(throughputs) != len(targets):
+        raise ValueError(f"sweep measures {len(targets)} targets, "
+                         f"got {len(throughputs)} throughputs")
+    baseline, *values = throughputs
     samples = [(1.0, 1.0)]
     clamp_events = 0
-    for target, value in zip(removed, values):
+    for target, value in zip(targets[1:], values):
         tp = value / baseline if baseline else 0.0
         if tp > 1.0:
             clamp_events += 1
@@ -206,16 +226,43 @@ def elasticity(curve: ThroughputCurve) -> ElasticityResult:
     )
 
 
-def _run_trial(g, strategy, recompute, max_removal_fraction, steps, mode, seed) -> ThroughputCurve:
+def _plan(g: Graph, strategy: str, recompute: bool, seed: int) -> AttackPlan:
     if strategy == "degree":
-        plan = plan_targeted_degree(g, g.n, recompute=recompute)
-    elif strategy == "random-node":
-        plan = plan_random_nodes(g, g.n, seed)
-    elif strategy == "random-link":
-        plan = plan_random_links(g, g.m, seed)
-    else:
-        raise ValueError(f"unknown attack strategy {strategy!r}")
-    return sweep(g, plan, max_removal_fraction, steps, mode)
+        return plan_targeted_degree(g, g.n, recompute=recompute)
+    if strategy == "random-node":
+        return plan_random_nodes(g, g.n, seed)
+    if strategy == "random-link":
+        return plan_random_links(g, g.m, seed)
+    raise ValueError(f"unknown attack strategy {strategy!r}")
+
+
+def _measure(study: tuple, item: tuple[int, tuple[int, ...]]) -> list[float]:
+    g, ranks, mode = study
+    trial, targets = item
+    return masked_throughputs(g, ranks[trial], targets, mode)
+
+
+# The (intact graph, per-trial link ranks, mode) of a pool worker's study,
+# set once per worker by the pool's initializer.
+_worker_study: tuple = ()
+
+
+def _init_worker(*study) -> None:
+    global _worker_study
+    _worker_study = study
+
+
+def _measure_in_worker(item: tuple[int, tuple[int, ...]]) -> list[float]:
+    return _measure(_worker_study, item)
+
+
+def _measure_all(items: list, study: tuple, workers: int) -> list[list[float]]:
+    """Every item's values, in item order: one pool's map over `workers`
+    processes, or the builtin map in this process for one worker."""
+    if workers == 1:
+        return list(map(partial(_measure, study), items))
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=study) as pool:
+        return list(pool.map(_measure_in_worker, items))
 
 
 def averaged_elasticity(
@@ -233,9 +280,13 @@ def averaged_elasticity(
     """Average elasticity over seeded trials of a (possibly stochastic) attack.
 
     Trial k uses seed + k; the targeted strategy is deterministic, so it is
-    forced to a single trial.  Returns the mean result (per-trial values and
-    their sample standard deviation included), the pointwise-mean curve, and
-    every per-trial curve.  Aggregation runs in fixed trial order, so worker
+    forced to a single trial.  Every trial is planned and validated here;
+    the work items, one per (trial, group of targets) as routing's
+    target_groups splits them, then run in min(jobs, items) processes,
+    those that keep the most links first, as they take longest.  Returns
+    the mean result (per-trial values and their sample standard deviation
+    included), the pointwise-mean curve, and every per-trial curve.  Curves
+    are rebuilt and aggregated in fixed trial and sample order, so worker
     count never changes the outcome.
     """
     if trials < 1:
@@ -244,13 +295,18 @@ def averaged_elasticity(
         raise ValueError("jobs must be >= 1")
     if strategy == "degree":
         trials = 1
-    run = partial(_run_trial, g, strategy, recompute, max_removal_fraction, steps, mode)
-    seeds = range(seed, seed + trials)
-    if jobs > 1 and trials > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, trials)) as pool:
-            curves = tuple(pool.map(run, seeds))
-    else:
-        curves = tuple(map(run, seeds))
+    plans = [_plan(g, strategy, recompute, s) for s in range(seed, seed + trials)]
+    targets = [_sweep_targets(g, p, max_removal_fraction, steps, mode)[1] for p in plans]
+    ranks = [_link_ranks(g, p, t[-1]) for p, t in zip(plans, targets)]
+    groups = [target_groups(t, mode) for t in targets]
+    items = sorted(((k, group) for k, gs in enumerate(groups) for group in gs),
+                   key=lambda item: item[1][0])
+    measured = dict(zip(items, _measure_all(items, (g, ranks, mode), min(jobs, len(items)))))
+    curves = tuple(
+        sweep(g, plan, max_removal_fraction, steps, mode,
+              throughputs=[v for group in gs for v in measured[k, group]])
+        for k, (plan, gs) in enumerate(zip(plans, groups))
+    )
 
     fractions = [f for f, _ in curves[0].samples]
     for c in curves[1:]:

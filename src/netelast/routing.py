@@ -16,15 +16,17 @@ flows.  A graph with no deliverable flows has throughput 0 by convention.
 
 An attack sweep asks for the throughput of nested samples of one graph, each
 keeping the links whose removal rank reaches a target (masked_throughputs).
-Bottleneck mode routes every sample from scratch.  Flow-ratio mode needs only
-deliverable pair counts, and those come from one reverse union-find pass per
-sweep that adds the links back in descending rank.
+Bottleneck mode routes every sample from scratch, cut from the intact graph's
+CSR by a link mask.  Flow-ratio mode needs only deliverable pair counts, and
+those come from one reverse union-find pass per sweep that adds the links
+back in descending rank.  So routing also says which targets of a sweep are
+measured together (target_groups): a whole flow-ratio sweep, or one
+bottleneck sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +50,8 @@ _BLOCK_CELLS = 1_500_000
 class FlowAssignment:
     """Per-link flow counts from routing every deliverable ordered pair.
 
-    link_load is aligned with Graph.edges; delivered counts ordered pairs
+    link_load is aligned with Graph.edges (a masked route gives its removed
+    links 0); delivered counts ordered pairs
     (so it is even and sums s*(s-1) over component sizes); max_link_load is
     the bottleneck count, 0 when the graph has no links.
     """
@@ -101,8 +104,13 @@ def _pair_counts(g: Graph, rank: np.ndarray, targets: Sequence[int]) -> list[int
     return counts
 
 
-def route_all_pairs(g: Graph) -> FlowAssignment:
+def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     """Route every deliverable ordered pair and tally per-link flows.
+
+    With keep, a boolean mask over g.edges, routes g masked to the kept
+    links without building a Graph: selecting the kept slots of g's CSR
+    keeps each row in ascending neighbor order, and the slot->link map
+    restricted to them still names g's link ids, so removed links read 0.
 
     Runs a BFS-distance pass per source (in blocks).  A reachable node's
     parent is its lowest-id neighbor one hop closer to the source; as no
@@ -115,13 +123,17 @@ def route_all_pairs(g: Graph) -> FlowAssignment:
     slot also names the tree link through the slot->link map.
     """
     m = g.m
-    if m == 0:
+    indptr, indices, slot_link = g.csr
+    if keep is not None:
+        kept = keep[slot_link]
+        indptr = np.concatenate(([0], np.cumsum(kept)))[indptr]
+        indices, slot_link = indices[kept], slot_link[kept]
+    if not len(indices):
         return FlowAssignment(link_load=np.zeros(m, dtype=np.int64), delivered=0, max_link_load=0)
 
     # Linkless nodes deliver nothing and carry nothing, so a monotone relabel
     # drops them: routing cost follows the linked nodes, lowest-id choices are
     # unchanged, and every node's CSR segment is non-empty.
-    indptr, indices, slot_link = g.csr
     linked = np.diff(indptr) > 0
     indptr = np.append(indptr[:-1][linked], len(indices))
     indices = (np.cumsum(linked) - 1)[indices]
@@ -167,6 +179,17 @@ def route_all_pairs(g: Graph) -> FlowAssignment:
     return FlowAssignment(link_load=link_load, delivered=delivered, max_link_load=int(link_load.max()))
 
 
+def target_groups(targets: Sequence[int], mode: str = DEFAULT_MODE) -> list[tuple[int, ...]]:
+    """targets split into the groups that masked_throughputs measures as one
+    piece of work: one union-find pass serves a whole flow-ratio sweep,
+    while every bottleneck sample is a route of its own."""
+    if mode not in MODES:
+        raise ValueError(f"unknown throughput mode {mode!r}")
+    if mode == "flow-ratio":
+        return [tuple(targets)]
+    return [(t,) for t in targets]
+
+
 def masked_throughputs(
     g: Graph, rank: np.ndarray, targets: Sequence[int], mode: str = DEFAULT_MODE
 ) -> list[float]:
@@ -177,7 +200,9 @@ def masked_throughputs(
     over the bottleneck load, 0.0 when nothing routes.  flow-ratio mode
     returns deliverable pair counts (ints, so ratios of counts divide
     exactly as int/int) from one reverse union-find pass over all targets,
-    without routing.  No other function picks what a mode measures.
+    without routing.  Only routing branches on mode: here, for what a
+    mode measures, and in target_groups, for which targets are measured
+    together.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
@@ -185,9 +210,7 @@ def masked_throughputs(
         return _pair_counts(g, rank, targets)
     values = []
     for t in targets:
-        keep = rank >= t
-        kept = g if keep.all() else Graph(g.n, list(compress(g.edges, keep.tolist())), g.labels)
-        fa = route_all_pairs(kept)
+        fa = route_all_pairs(g, rank >= t)
         values.append(fa.delivered / fa.max_link_load if fa.max_link_load else 0.0)
     return values
 

@@ -211,6 +211,14 @@ def test_trials_and_jobs_below_one_exit_1(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    target.mkdir()  # the final rename onto a directory fails
+    code, _, err = run(capsys, "metrics", "--generate", "star:5", "--json-out", str(target))
+    assert code == 1 and "error:" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```")[1]

@@ -173,6 +173,15 @@ def test_sweep_modes_bounded():
         assert 0.0 <= e <= 1.0
 
 
+def test_sweep_takes_measured_throughputs():
+    g = wheel_graph(6)
+    plan = plan_targeted_degree(g, g.n)
+    curve = sweep(g, plan, 0.5, 3, "flow-ratio")
+    assert sweep(g, plan, 0.5, 3, "flow-ratio", throughputs=[30, 20, 12, 2]) == curve
+    with pytest.raises(ValueError):
+        sweep(g, plan, 0.5, 3, "flow-ratio", throughputs=[30, 20])
+
+
 def test_averaged_single_trial_equals_sweep():
     g = erdos_renyi(25, 0.2, seed=2)
     study = averaged_elasticity(g, "random-node", trials=1, seed=7, mode="flow-ratio")
@@ -207,12 +216,52 @@ def test_averaged_targeted_forces_single_trial():
 
 def test_averaged_jobs_do_not_change_result():
     g = erdos_renyi(20, 0.25, seed=7)
-    for strategy, mode in (("random-node", "flow-ratio"), ("random-link", "bottleneck")):
-        serial = averaged_elasticity(g, strategy, trials=4, seed=11, mode=mode)
-        parallel = averaged_elasticity(g, strategy, trials=4, seed=11, mode=mode, jobs=2)
-        assert serial.result == parallel.result
-        assert serial.mean_curve == parallel.mean_curve
-        assert serial.trial_curves == parallel.trial_curves
+    planners = {
+        "degree": lambda seed: plan_targeted_degree(g, g.n),
+        "random-node": lambda seed: plan_random_nodes(g, g.n, seed),
+        "random-link": lambda seed: plan_random_links(g, g.m, seed),
+    }
+    # the earlier pairs at the default steps, where rounded batch targets
+    # merge and a trial holds many work items; the new pairs at steps=5
+    for strategy, mode, steps in (("random-node", "flow-ratio", 80),
+                                  ("random-link", "bottleneck", 80),
+                                  ("degree", "bottleneck", 5),
+                                  ("random-node", "bottleneck", 5)):
+        serial = averaged_elasticity(g, strategy, trials=4, seed=11, mode=mode, steps=steps)
+        assert serial.trial_curves == tuple(
+            sweep(g, planners[strategy](11 + k), steps=steps, mode=mode)
+            for k in range(len(serial.trial_curves))
+        )
+        # one work item per bottleneck sample, one per flow-ratio trial; a
+        # pool larger than the items runs only where that stays a few processes
+        items = sum(len(c.samples) for c in serial.trial_curves) if mode == "bottleneck" else 4
+        for jobs in (2, 3, items + 1) if items < 8 else (2, 3):
+            parallel = averaged_elasticity(g, strategy, trials=4, seed=11, mode=mode,
+                                           steps=steps, jobs=jobs)
+            assert serial.result == parallel.result
+            assert serial.mean_curve == parallel.mean_curve
+            assert serial.trial_curves == parallel.trial_curves
+
+
+@pytest.mark.parametrize("study", [
+    {"strategy": "hubs"},
+    {"strategy": "random-node", "max_removal_fraction": 1.5},
+    {"strategy": "random-link", "steps": -1},
+    {"strategy": "degree", "mode": "fastest"},
+])
+def test_invalid_study_fails_before_any_pool(study, monkeypatch):
+    import netelast.engine as engine
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started for an invalid study")
+
+    g = erdos_renyi(12, 0.3, seed=3)
+    with pytest.raises(ValueError) as serial:
+        averaged_elasticity(g, trials=3, **study)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError) as parallel:
+        averaged_elasticity(g, trials=3, jobs=2, **study)
+    assert str(parallel.value) == str(serial.value)
 
 
 def test_star_random_beats_targeted_exhaustively():

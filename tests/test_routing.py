@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netelast import (
+    Graph,
     complete_graph,
     connected_components,
     erdos_renyi,
@@ -213,3 +214,22 @@ def test_masked_throughputs_equal_each_masked_graph(case):
         assert count == sum(s * (s - 1) for s in connected_components(masked).component_sizes)
         assert rate == throughput(masked, "bottleneck")
     assert counts[0] == delivered_flow_count(g) == route_all_pairs(g).delivered
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ranked_graphs())
+@example(case=(make_graph(5, [(1, 3)]), np.zeros(1, dtype=np.int64), [0, 1]))
+def test_masked_route_equals_routing_the_rebuilt_graph(case):
+    # the masked route cuts each sample from g's CSR; the reference builds it
+    g, rank, targets = case
+    rates = masked_throughputs(g, rank, targets, "bottleneck")
+    for t, rate in zip(targets, rates):
+        keep = rank >= t
+        fa = route_all_pairs(g, keep)
+        ref = route_all_pairs(Graph(g.n, [e for e, k in zip(g.edges, keep) if k]))
+        loads = np.zeros(g.m, dtype=np.int64)
+        loads[keep] = ref.link_load
+        assert fa.link_load.dtype == np.int64
+        assert fa.link_load.tolist() == loads.tolist()
+        assert (fa.delivered, fa.max_link_load) == (ref.delivered, ref.max_link_load)
+        assert rate == (ref.delivered / ref.max_link_load if ref.max_link_load else 0.0)
