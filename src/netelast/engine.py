@@ -283,7 +283,9 @@ def averaged_elasticity(
     forced to a single trial.  Every trial is planned and validated here;
     the work items, one per (trial, group of targets) as routing's
     target_groups splits them, then run in min(jobs, items) processes,
-    those that keep the most links first, as they take longest.  Returns
+    those that keep the most links first, as they take longest.  The
+    intact graph measured alone (a bottleneck study's target 0) is one
+    item shared by all trials.  Returns
     the mean result (per-trial values and their sample standard deviation
     included), the pointwise-mean curve, and every per-trial curve.  Curves
     are rebuilt and aggregated in fixed trial and sample order, so worker
@@ -299,12 +301,18 @@ def averaged_elasticity(
     targets = [_sweep_targets(g, p, max_removal_fraction, steps, mode)[1] for p in plans]
     ranks = [_link_ranks(g, p, t[-1]) for p, t in zip(plans, targets)]
     groups = [target_groups(t, mode) for t in targets]
-    items = sorted(((k, group) for k, gs in enumerate(groups) for group in gs),
-                   key=lambda item: item[1][0])
+
+    def item(k: int, group: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        # Target 0 keeps every link whatever the ranks, so the intact graph
+        # measured alone is one item, trial 0's, shared by every trial.
+        return (0, group) if group == (0,) else (k, group)
+
+    items = sorted({item(k, group) for k, gs in enumerate(groups) for group in gs},
+                   key=lambda it: (it[1][0], it[0]))
     measured = dict(zip(items, _measure_all(items, (g, ranks, mode), min(jobs, len(items)))))
     curves = tuple(
         sweep(g, plan, max_removal_fraction, steps, mode,
-              throughputs=[v for group in gs for v in measured[k, group]])
+              throughputs=[v for group in gs for v in measured[item(k, group)]])
         for k, (plan, gs) in enumerate(zip(plans, groups))
     )
 

@@ -9,6 +9,12 @@ sequence read destination-to-origin is lexicographically smallest wins.
 Tie handling is single-path on purpose: splitting flows would make the
 bottleneck load fractional.
 
+So the routes into one destination form a tree, and it is the tree that a
+FIFO breadth-first search from the destination builds when it scans every
+node's neighbors in ascending id order: route_all_pairs runs one such search
+per destination (scipy's breadth_first_order, which scans CSR rows in
+stored order) and reads each link's load off the subtree sizes.
+
 Throughput of a graph is the number of deliverable ordered pairs divided by
 the bottleneck link load (the busiest link's flow count): the per-pair rate
 at which the busiest unit-capacity link saturates, times the number of
@@ -31,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 
 from .graph import Graph, edge_ends
 
@@ -41,9 +47,10 @@ from .graph import Graph, edge_ends
 MODES = ("bottleneck", "flow-ratio")
 DEFAULT_MODE = "bottleneck"
 
-# Source-block cap: the block x slots arrays of the parent pick (slots = 2m,
-# never fewer than the linked nodes) dominate, so each stays within ~12 MB.
-_BLOCK_CELLS = 1_500_000
+# Root-block cap in routed (root, node) cells.  A block's arrays take about
+# 45 bytes a cell, so a route peaks near 9 MiB; routes ran no faster with
+# blocks of 100k to 500k cells, and slower below.
+_BLOCK_CELLS = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,15 +119,24 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     keeps each row in ascending neighbor order, and the slot->link map
     restricted to them still names g's link ids, so removed links read 0.
 
-    Runs a BFS-distance pass per source (in blocks).  A reachable node's
-    parent is its lowest-id neighbor one hop closer to the source; as no
-    neighbor is closer still and slots ascend by neighbor id, its slot is
-    the first minimum of the packed key dist[neighbor] * nslots + slot over
-    the node's CSR segment (key % nslots), exact while n * nslots < 2**53.
+    One tree per destination t holds the route of every pair (s, t).  A FIFO
+    BFS from t that scans each node's neighbors in ascending id order
+    reaches every level in the lexicographic order of the tree paths read
+    from t, so each node's tree parent is, of its neighbors one hop closer
+    to t, the one whose own route is smallest; by induction the tree path
+    to s is the lexicographically smallest shortest path read from t, which
+    is the routing rule.  scipy's breadth_first_order keeps that order, as
+    it scans CSR rows in stored order.  It runs on a node->slot->node graph
+    (node u's row lists the slot vertices n + j of its CSR segment, slot
+    vertex n + j holds indices[j] alone), so a node's predecessor n + j
+    names its tree link slot_link[j] and its parent, the row of j.
+
     Flow counts follow Brandes' (2001) dependency accumulation with a single
-    predecessor: subtree sizes of the per-source routing trees, summed
-    deepest-first, so no individual path is ever materialized.  The parent
-    slot also names the tree link through the slot->link map.
+    predecessor: the link from a node to its parent carries one flow per
+    node of the node's subtree.  Subtree sizes are summed level by level,
+    deepest first.  Along one BFS order the parents' positions never
+    decrease, so each level ends where the parents leave the level above
+    (a searchsorted), and no depth is sorted or stored.
     """
     m = g.m
     indptr, indices, slot_link = g.csr
@@ -139,41 +155,65 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     indices = (np.cumsum(linked) - 1)[indices]
     n = len(indptr) - 1
     nslots = len(indices)
-    adj = csr_matrix((np.ones(nslots, dtype=np.int8), indices, indptr), shape=(n, n))
-    slots = np.arange(nslots)
+    slot_row = np.repeat(np.arange(n), np.diff(indptr))
+    # float64 data and the int32 indices scipy picks are what
+    # breadth_first_order works on, so it takes this graph as it is instead
+    # of copying it on every call.
+    nv = n + nslots
+    bfs_graph = csr_matrix(
+        (np.ones(2 * nslots), np.concatenate((n + np.arange(nslots), indices)),
+         np.concatenate((indptr, nslots + 1 + np.arange(nslots)))),
+        shape=(nv, nv))
 
     load_acc = np.zeros(m, dtype=np.float64)
     delivered = 0
-    block = max(1, _BLOCK_CELLS // nslots)
-    for start in range(0, n, block):
-        sources = np.arange(start, min(start + block, n))
-        dist = dijkstra(adj, directed=True, unweighted=True, indices=sources)
-        key = dist[:, indices]
-        key *= nslots
-        key += slots
-        first_key = np.minimum.reduceat(key, indptr[:-1], axis=1).ravel()
-        del key  # free the block x slots array before the per-cell ones
+    # int64 like the level bounds, so searchsorted never casts the parents
+    position = np.empty(n, dtype=np.int64)
+    block = max(1, _BLOCK_CELLS // n)
+    for first in range(0, n, block):
+        # The block's BFS orders of nodes, one root after the other: each
+        # entry's tree-link slot and its parent's position in the block.
+        starts, slots, parents = [], [], []
+        offset = 0
+        for t in range(first, min(first + block, n)):
+            order, pred = breadth_first_order(bfs_graph, t, return_predecessors=True)
+            order = order[order < n]
+            slot = pred[order] - n
+            slot[0] = 0  # the root has no tree link; its load is masked below
+            position[order] = np.arange(offset, offset + len(order))
+            parent = position[slot_row[slot]]
+            parent[0] = offset  # its own parent: keeps parents nondecreasing
+            starts.append(offset)
+            slots.append(slot)
+            parents.append(parent)
+            offset += len(order)
+        starts, stops = np.array(starts), np.array(starts[1:] + [offset])
+        slot, parent = np.concatenate(slots), np.concatenate(parents)
+        del slots, parents
 
-        # Routed pairs are the flat cells of the block, deepest first; a
-        # cell's parent is the cell of the same source at the parent node.
-        flat_dist = dist.ravel()
-        child = np.flatnonzero((flat_dist > 0) & (flat_dist < np.inf))
-        delivered += len(child)
-        depth = flat_dist[child]
-        order = np.argsort(-depth)
-        child, depth = child[order], depth[order]
-        slot = first_key[child].astype(np.int64) % nslots
-        parent = child // n * n + indices[slot]
+        # Level k of every root spans positions [bounds[k], bounds[k + 1]):
+        # a level ends where the parents leave the level before it.
+        bounds = [starts, starts + 1]
+        while True:
+            end = np.minimum(np.searchsorted(parent, bounds[-1]), stops)
+            if (end == bounds[-1]).all():
+                break
+            bounds.append(end)
+        lo, hi = np.array(bounds[1:-1]), np.array(bounds[2:])
+        lens = (hi - lo).ravel()
+        by_level = np.repeat(lo.ravel() - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
 
-        # Subtree sizes of the routing trees, accumulated level by level; the
-        # sizes are exact integers, so the order within a level is free.
-        size = np.ones(dist.size)
-        cuts = np.flatnonzero(np.diff(depth)) + 1
-        for kids, parents in zip(np.split(child, cuts), np.split(parent, cuts)):
-            np.add.at(size, parents, size[kids])
+        # Subtree sizes, deepest level first; the sizes are exact integers,
+        # so the order within a level is free.
+        subtree = np.ones(len(parent))
+        for kids in np.split(by_level, np.cumsum((hi - lo).sum(axis=1))[:-1])[::-1]:
+            np.add.at(subtree, parent[kids], subtree[kids])
+        del by_level
 
-        # Each tree edge (parent, v) carries one flow per node in v's subtree.
-        load_acc += np.bincount(slot_link[slot], weights=size[child], minlength=m)
+        # Each tree link carries one flow per node in the subtree below it.
+        subtree[starts] = 0
+        delivered += len(parent) - len(starts)
+        load_acc += np.bincount(slot_link[slot], weights=subtree, minlength=m)
 
     link_load = load_acc.astype(np.int64)
     return FlowAssignment(link_load=link_load, delivered=delivered, max_link_load=int(link_load.max()))

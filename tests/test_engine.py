@@ -190,6 +190,24 @@ def test_averaged_single_trial_equals_sweep():
     assert study.result.elasticity == elasticity(direct).elasticity
 
 
+def test_averaged_bottleneck_routes_intact_graph_once(monkeypatch):
+    import netelast.routing as routing
+
+    g = erdos_renyi(20, 0.25, seed=7)
+    trials = tuple(sweep(g, plan_random_nodes(g, g.n, 5 + k), steps=2) for k in range(3))
+    route, calls = routing.route_all_pairs, []
+
+    def counted(*args):
+        calls.append(args)
+        return route(*args)
+
+    monkeypatch.setattr(routing, "route_all_pairs", counted)
+    study = averaged_elasticity(g, "random-node", trials=3, seed=5, steps=2)
+    # one intact route for the study, then two samples per trial
+    assert len(calls) == 1 + 3 * 2
+    assert study.trial_curves == trials
+
+
 def test_averaged_deterministic():
     g = erdos_renyi(25, 0.2, seed=2)
     a = averaged_elasticity(g, "random-node", trials=5, seed=3, mode="flow-ratio")
@@ -232,9 +250,11 @@ def test_averaged_jobs_do_not_change_result():
             sweep(g, planners[strategy](11 + k), steps=steps, mode=mode)
             for k in range(len(serial.trial_curves))
         )
-        # one work item per bottleneck sample, one per flow-ratio trial; a
-        # pool larger than the items runs only where that stays a few processes
-        items = sum(len(c.samples) for c in serial.trial_curves) if mode == "bottleneck" else 4
+        # one work item per bottleneck sample (the intact one shared by all
+        # trials), one per flow-ratio trial; a pool larger than the items
+        # runs only where that stays a few processes
+        items = (1 + sum(len(c.samples) - 1 for c in serial.trial_curves)
+                 if mode == "bottleneck" else 4)
         for jobs in (2, 3, items + 1) if items < 8 else (2, 3):
             parallel = averaged_elasticity(g, strategy, trials=4, seed=11, mode=mode,
                                            steps=steps, jobs=jobs)

@@ -71,11 +71,27 @@ def test_oracle_equivalence_random_graphs():
         assert_matches_oracle(g)
 
 
+def hypercube(d):
+    return make_graph(2**d, [(v, v ^ (1 << i)) for v in range(2**d) for i in range(d)])
+
+
+def relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def test_oracle_equivalence_fixtures():
-    # BA-1024 is the bottleneck-mode scale the benchmark sweeps
+    # BA-1024 is the bottleneck-mode scale the benchmark sweeps; the grid and
+    # the relabeled 6-cube are deep and full of equal-length routes, so every
+    # lowest-id tie rule shows; the last graph has three components (a
+    # 4-cycle, a path and a 5-cycle with a chord) around isolated nodes
+    parts = make_graph(16, [(1, 7), (7, 4), (4, 12), (12, 1), (3, 10), (10, 15),
+                            (0, 5), (5, 9), (9, 14), (14, 11), (11, 0), (5, 14)])
     for g in (
         path_graph(7), complete_graph(6), star_graph(6), wheel_graph(8),
-        scale_free_ba(1024, 3, 3, seed=42),
+        scale_free_ba(1024, 3, 3, seed=42), grid_graph(12, 12),
+        relabeled(hypercube(6), seed=6), parts,
     ):
         assert_matches_oracle(g)
 
@@ -91,10 +107,7 @@ def test_delivered_even_and_component_identity():
 def test_delivered_invariant_under_relabeling():
     for seed in range(10):
         g = erdos_renyi(15, 0.25, seed=seed)
-        perm = list(range(g.n))
-        random.Random(seed + 99).shuffle(perm)
-        h = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-        assert route_all_pairs(h).delivered == route_all_pairs(g).delivered
+        assert route_all_pairs(relabeled(g, seed + 99)).delivered == route_all_pairs(g).delivered
 
 
 def test_link_removal_never_increases_delivered():
@@ -163,28 +176,32 @@ def test_link_load_is_integer_array():
 def test_source_blocking(monkeypatch):
     # force the multi-block path that normally only triggers on large graphs:
     # a deep tie-heavy grid, two components plus isolated nodes, and K9 with
-    # slots >> n, each routed one source per block and in blocks of 5 sources
+    # slots >> n, each routed one root per block and in blocks of 5 roots
     # (5 divides none of their linked-node counts)
     import netelast.routing as routing
 
     two_parts = make_graph(14, [(0, 3), (3, 5), (5, 0), (5, 8), (2, 9), (9, 12), (12, 13)])
     for g in (erdos_renyi(26, 0.3, seed=13), grid_graph(6, 7), two_parts, complete_graph(9)):
-        for cells in (1, 5 * 2 * g.m):
+        linked = len({v for e in g.edges for v in e})
+        assert linked % 5
+        for cells in (1, 5 * linked):
             monkeypatch.setattr(routing, "_BLOCK_CELLS", cells)
             assert_matches_oracle(g)
 
 
 def test_route_memory_is_bounded_by_block_cells():
-    # K200 has 39,800 slots: blocks sized by nodes would hold all 200 sources
-    # and a 64 MB key array; sized by slots, each block array stays ~12 MB
-    g = complete_graph(200)
-    tracemalloc.start()
-    try:
-        route_all_pairs(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    # a block holds roots x linked nodes cells, a few dozen bytes each (tree
+    # link, parent position, level order, subtree size), and each root adds
+    # one BFS over n + 2m vertices.  K200 has 39,800 slots for 200 nodes; the
+    # 1,500-node star routes 2.25 M cells, about 95 MB in a single block.
+    for g in (complete_graph(200), star_graph(1500)):
+        tracemalloc.start()
+        try:
+            route_all_pairs(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 @st.composite
