@@ -11,9 +11,16 @@ bottleneck load fractional.
 
 So the routes into one destination form a tree, and it is the tree that a
 FIFO breadth-first search from the destination builds when it scans every
-node's neighbors in ascending id order: route_all_pairs runs one such search
-per destination (scipy's breadth_first_order, which scans CSR rows in
-stored order) and reads each link's load off the subtree sizes.
+node's neighbors in ascending id order.  route_all_pairs searches only the
+graph's 2-core.  Pendant trees are peeled off first: every one of their
+links is a bridge, and a bridge that cuts a tree of w nodes off a component
+of C nodes carries 2*w*(C - w) flows whatever the tie rule.  Each core node
+then stands for itself and the trees peeled into it (its weight).  One
+search per core destination (scipy's breadth_first_order, which scans CSR
+rows in stored order) gives each core link's load as weighted subtree sums,
+counted once per destination the root stands for.  Lowest-id ties survive
+the contraction: the core is relabeled in id order, and a route's tree
+prefix and suffix are forced, so only its core segment is ever compared.
 
 Throughput of a graph is the number of deliverable ordered pairs divided by
 the bottleneck link load (the busiest link's flow count): the per-pair rate
@@ -38,6 +45,7 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from .graph import Graph, edge_ends
 
@@ -47,9 +55,10 @@ from .graph import Graph, edge_ends
 MODES = ("bottleneck", "flow-ratio")
 DEFAULT_MODE = "bottleneck"
 
-# Root-block cap in routed (root, node) cells.  A block's arrays take about
-# 45 bytes a cell, so a route peaks near 9 MiB; routes ran no faster with
-# blocks of 100k to 500k cells, and slower below.
+# Root-block cap in routed (root, 2-core node) cells.  A block takes about
+# 40 bytes a cell (three buffers every block reuses, and the level order),
+# so a route peaks near 8.5 MiB; routes ran no faster with blocks of 100k
+# to 500k cells, and slower below.
 _BLOCK_CELLS = 200_000
 
 
@@ -114,13 +123,28 @@ def _pair_counts(g: Graph, rank: np.ndarray, targets: Sequence[int]) -> list[int
 def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     """Route every deliverable ordered pair and tally per-link flows.
 
-    With keep, a boolean mask over g.edges, routes g masked to the kept
-    links without building a Graph: selecting the kept slots of g's CSR
-    keeps each row in ascending neighbor order, and the slot->link map
-    restricted to them still names g's link ids, so removed links read 0.
+    With keep, a boolean array of shape (g.m,) over g.edges (anything else
+    raises ValueError), routes g masked to the kept links without building a
+    Graph: selecting the kept slots of g's CSR keeps each row in ascending
+    neighbor order, and the slot->link map restricted to them still names
+    g's link ids, so removed links read 0.
 
-    One tree per destination t holds the route of every pair (s, t).  A FIFO
-    BFS from t that scans each node's neighbors in ascending id order
+    Pendant trees are not routed.  Degree-1 nodes are peeled off in rounds
+    (_peel), each folding its weight (itself plus the tree peeled into it)
+    into its one remaining neighbor.  A peeled link that cuts a tree of w
+    nodes off a component of C nodes is a bridge, crossed once by every
+    route between its sides, so it carries 2*w*(C - w) flows.  What is left
+    is the 2-core, relabeled monotonically (lowest-id order is unchanged),
+    and only its nodes are routed.  That is exact: a shortest path between
+    two core nodes never enters a pendant tree, and when s and t hang off
+    different core nodes a and b, the route of (s, t) runs the forced tree
+    path from t to b, a core segment from b to a, then the forced tree path
+    from a to s.  Every shortest path from t to s shares that prefix and
+    suffix, so the lexicographic choice falls to the core segment alone,
+    which is the core route of (a, b).
+
+    One tree per core destination t holds the route of every pair into t.
+    A FIFO BFS from t that scans each node's neighbors in ascending id order
     reaches every level in the lexicographic order of the tree paths read
     from t, so each node's tree parent is, of its neighbors one hop closer
     to t, the one whose own route is smallest; by induction the tree path
@@ -133,63 +157,91 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
 
     Flow counts follow Brandes' (2001) dependency accumulation with a single
     predecessor: the link from a node to its parent carries one flow per
-    node of the node's subtree.  Subtree sizes are summed level by level,
-    deepest first.  Along one BFS order the parents' positions never
-    decrease, so each level ends where the parents leave the level above
-    (a searchsorted), and no depth is sorted or stored.
+    source in the node's subtree, so subtree sums start at each node's
+    weight, and t's tree counts w(t) times, once per destination that t
+    stands for.  Subtree sums run level by level, deepest first.  Along one
+    BFS order the parents' positions never decrease, so each level ends
+    where the parents leave the level above (a searchsorted), and no depth
+    is sorted or stored.  Every count is an integer of at most n**2, exact
+    in float64.  delivered is the sum of C*(C - 1) over component sizes.
     """
     m = g.m
     indptr, indices, slot_link = g.csr
     if keep is not None:
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (m,):
+            raise ValueError(f"keep must be a bool array of shape ({m},), "
+                             f"got {keep.dtype} of shape {keep.shape}")
         kept = keep[slot_link]
         indptr = np.concatenate(([0], np.cumsum(kept)))[indptr]
         indices, slot_link = indices[kept], slot_link[kept]
     if not len(indices):
         return FlowAssignment(link_load=np.zeros(m, dtype=np.int64), delivered=0, max_link_load=0)
 
-    # Linkless nodes deliver nothing and carry nothing, so a monotone relabel
-    # drops them: routing cost follows the linked nodes, lowest-id choices are
-    # unchanged, and every node's CSR segment is non-empty.
-    linked = np.diff(indptr) > 0
-    indptr = np.append(indptr[:-1][linked], len(indices))
-    indices = (np.cumsum(linked) - 1)[indices]
+    n = len(indptr) - 1
+    _, label = _csgraph_components(
+        csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n)), directed=False)
+    sizes = np.bincount(label)
+    delivered = int((sizes * (sizes - 1)).sum())
+    weight, core, up = _peel(indptr, indices, slot_link)
+    peeled = up >= 0
+    w = weight[peeled]
+    load_acc = np.zeros(m, dtype=np.float64)
+    load_acc[up[peeled]] = 2 * w * (sizes[label[peeled]] - w)
+
+    # The 2-core, relabeled monotonically: every core node keeps >= 2 slots.
+    inner = np.repeat(core, np.diff(indptr)) & core[indices]
+    indptr = np.append(np.concatenate(([0], np.cumsum(inner)))[indptr[:-1][core]], inner.sum())
+    indices = (np.cumsum(core) - 1)[indices[inner]]
+    slot_link = slot_link[inner]
+    weight = weight[core]
     n = len(indptr) - 1
     nslots = len(indices)
     slot_row = np.repeat(np.arange(n), np.diff(indptr))
     # float64 data and the int32 indices scipy picks are what
     # breadth_first_order works on, so it takes this graph as it is instead
-    # of copying it on every call.
+    # of copying it on every call.  The search reads no data, so slot
+    # vertex n + j's entry holds the weight of node indices[j], where slot
+    # j leads.
     nv = n + nslots
+    data = np.concatenate((np.ones(nslots), weight[indices]), dtype=np.float64)
+    slot_weight = data[nslots:]
     bfs_graph = csr_matrix(
-        (np.ones(2 * nslots), np.concatenate((n + np.arange(nslots), indices)),
+        (data, np.concatenate((n + np.arange(nslots), indices)),
          np.concatenate((indptr, nslots + 1 + np.arange(nslots)))),
         shape=(nv, nv))
+    del indices, inner  # not read past here: freed before the searches
 
-    load_acc = np.zeros(m, dtype=np.float64)
-    delivered = 0
     # int64 like the level bounds, so searchsorted never casts the parents
     position = np.empty(n, dtype=np.int64)
-    block = max(1, _BLOCK_CELLS // n)
+    block = max(1, _BLOCK_CELLS // max(n, 1))
+    # Buffers that every block reuses, as fresh ones would be paged in anew
+    # for each block; a block fills at most block * n entries of them.
+    slot_buf = np.empty(min(block, n) * n, dtype=np.intp)
+    parent_buf = np.empty_like(slot_buf)
+    subtree_buf = np.empty(len(slot_buf))
     for first in range(0, n, block):
         # The block's BFS orders of nodes, one root after the other: each
         # entry's tree-link slot and its parent's position in the block.
-        starts, slots, parents = [], [], []
+        starts = []
         offset = 0
         for t in range(first, min(first + block, n)):
             order, pred = breadth_first_order(bfs_graph, t, return_predecessors=True)
             order = order[order < n]
-            slot = pred[order] - n
+            stop = offset + len(order)
+            slot = slot_buf[offset:stop]
+            np.subtract(pred[order], n, out=slot)
             slot[0] = 0  # the root has no tree link; its load is masked below
-            position[order] = np.arange(offset, offset + len(order))
-            parent = position[slot_row[slot]]
-            parent[0] = offset  # its own parent: keeps parents nondecreasing
+            position[order] = np.arange(offset, stop)
+            parent_buf[offset:stop] = position[slot_row[slot]]
+            parent_buf[offset] = offset  # its own parent: keeps parents nondecreasing
             starts.append(offset)
-            slots.append(slot)
-            parents.append(parent)
-            offset += len(order)
+            offset = stop
         starts, stops = np.array(starts), np.array(starts[1:] + [offset])
-        slot, parent = np.concatenate(slots), np.concatenate(parents)
-        del slots, parents
+        slot, parent, subtree = slot_buf[:offset], parent_buf[:offset], subtree_buf[:offset]
+        # Subtree sums start at each node's weight.  Every slot is in
+        # range, and mode="clip" skips take's buffered bounds check.
+        np.take(slot_weight, slot, out=subtree, mode="clip")
 
         # Level k of every root spans positions [bounds[k], bounds[k + 1]):
         # a level ends where the parents leave the level before it.
@@ -201,22 +253,57 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
             bounds.append(end)
         lo, hi = np.array(bounds[1:-1]), np.array(bounds[2:])
         lens = (hi - lo).ravel()
-        by_level = np.repeat(lo.ravel() - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        by_level = np.repeat(lo.ravel() - np.cumsum(lens) + lens, lens)
+        by_level += np.arange(len(by_level))
 
-        # Subtree sizes, deepest level first; the sizes are exact integers,
+        # Subtree sums, deepest level first; the sums are exact integers,
         # so the order within a level is free.
-        subtree = np.ones(len(parent))
         for kids in np.split(by_level, np.cumsum((hi - lo).sum(axis=1))[:-1])[::-1]:
             np.add.at(subtree, parent[kids], subtree[kids])
-        del by_level
+        del by_level, kids  # kids, a view, would keep by_level into the next block
 
-        # Each tree link carries one flow per node in the subtree below it.
+        # Each tree link carries one flow per source in the subtree below
+        # it, into each of the w(t) destinations behind the root t.
         subtree[starts] = 0
-        delivered += len(parent) - len(starts)
+        for t in np.flatnonzero(weight[first:first + block] > 1):
+            subtree[starts[t]:stops[t]] *= weight[first + t]
         load_acc += np.bincount(slot_link[slot], weights=subtree, minlength=m)
 
     link_load = load_acc.astype(np.int64)
     return FlowAssignment(link_load=link_load, delivered=delivered, max_link_load=int(link_load.max()))
+
+
+def _peel(indptr: np.ndarray, indices: np.ndarray,
+          slot_link: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strip the pendant trees off a symmetric CSR graph, round by round.
+
+    Each round peels every degree-1 node into its one remaining neighbor,
+    reading only the peeled nodes' rows, so the whole peel reads each slot
+    at most once.  Returns each node's weight (itself plus every node peeled
+    into it; final once the node is peeled), the 2-core mask, and each
+    node's peeled link, -1 if it was not peeled.  Two leaves joined to each
+    other are what is left of a tree: the higher id is peeled and the lower
+    one keeps the whole tree.
+    """
+    deg = np.diff(indptr)
+    weight = np.ones(len(deg), dtype=np.int64)
+    up = np.full(len(deg), -1, dtype=np.int64)
+    leaves = np.flatnonzero(deg == 1)
+    while len(leaves):
+        # each leaf's row holds exactly one slot to a node not yet peeled
+        first, lens = indptr[leaves], indptr[leaves + 1] - indptr[leaves]
+        slots = np.repeat(first - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        slots = slots[deg[indices[slots]] > 0]
+        nbr = indices[slots]
+        # of two leaves joined to each other, only the higher id is peeled
+        lone = (deg[nbr] > 1) | (nbr < leaves)
+        leaves, slots, nbr = leaves[lone], slots[lone], nbr[lone]
+        np.add.at(weight, nbr, weight[leaves])
+        np.subtract.at(deg, nbr, 1)
+        deg[leaves] = 0
+        up[leaves] = slot_link[slots]
+        leaves = np.unique(nbr[deg[nbr] == 1])
+    return weight, deg > 0, up
 
 
 def target_groups(targets: Sequence[int], mode: str = DEFAULT_MODE) -> list[tuple[int, ...]]:

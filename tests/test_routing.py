@@ -10,11 +10,13 @@ from netelast import (
     Graph,
     complete_graph,
     connected_components,
+    cycle_graph,
     erdos_renyi,
     grid_graph,
     make_graph,
     normalized_throughput,
     path_graph,
+    plan_targeted_degree,
     remove_links,
     remove_nodes,
     route_all_pairs,
@@ -96,6 +98,115 @@ def test_oracle_equivalence_fixtures():
         assert_matches_oracle(g)
 
 
+def two_core_size(g):
+    """Nodes left once degree-0 and degree-1 nodes are stripped repeatedly."""
+    nbrs = {v: set() for v in range(g.n)}
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    low = [v for v in nbrs if len(nbrs[v]) < 2]
+    while low:
+        v = low.pop()
+        for u in nbrs.pop(v, ()):
+            nbrs[u].discard(v)
+            if len(nbrs[u]) == 1:
+                low.append(u)
+    return len(nbrs)
+
+
+def with_trees(g, extra, seed, path=False):
+    """g with extra nodes hung off it as pendant trees (one long path when
+    path), then relabeled, so pendant ids interleave with core ids."""
+    rng = random.Random(seed)
+    n = g.n + extra
+    tails = [(v, v - 1 if path else rng.randrange(v)) for v in range(g.n, n)]
+    return relabeled(make_graph(n, g.edges + tails), seed)
+
+
+def bridge_loads(g):
+    """2*a*b per link, where cutting the link splits its component into
+    parts of a and b nodes: the load of a bridge, from components alone."""
+    loads = []
+    for u, v in g.edges:
+        cut = connected_components(remove_links(g, [(u, v)]))
+        a, b = (cut.component_sizes[cut.component_id[x]] for x in (u, v))
+        loads.append(2 * a * b)
+    return loads
+
+
+def assert_masked_matches_oracle(g, keep):
+    fa = route_all_pairs(g, keep)
+    loads, delivered, max_load = brute_force_flows(
+        make_graph(g.n, [e for e, k in zip(g.edges, keep) if k]))
+    assert (fa.delivered, fa.max_link_load) == (delivered, max_load)
+    assert fa.link_load.tolist() == [loads[e] if k else 0 for e, k in zip(g.edges, keep)]
+
+
+def test_tree_and_forest_loads_are_bridge_closed_forms():
+    # every link of a forest is a bridge; about one node in ten starts a
+    # new tree, and the relabeling puts parents above children as often
+    # as below
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 40)
+        forest = make_graph(n, [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.9])
+        g = relabeled(forest, seed)
+        assert_matches_oracle(g)
+        assert route_all_pairs(g).link_load.tolist() == bridge_loads(g)
+
+
+def test_pendant_heavy_graphs_match_oracle():
+    # cores (cycles, cliques, a wheel) under long tails and random trees;
+    # K2 and P3 components, whose two leaves are peeled in one round, next
+    # to isolated nodes; and stars, whose leaves all go in the first round
+    small_parts = make_graph(14, [(0, 1), (2, 4), (4, 3), (6, 5), (5, 8), (9, 13),
+                                  (13, 10), (10, 12)])
+    for g in (
+        with_trees(cycle_graph(5), 14, seed=1, path=True),
+        with_trees(cycle_graph(9), 30, seed=2),
+        with_trees(complete_graph(6), 12, seed=3, path=True),
+        with_trees(complete_graph(7), 40, seed=4),
+        with_trees(wheel_graph(8), 25, seed=5),
+        with_trees(grid_graph(4, 5), 30, seed=6),
+        small_parts, star_graph(9), relabeled(star_graph(12), seed=7),
+        with_trees(star_graph(6), 10, seed=8),
+    ):
+        assert_matches_oracle(g)
+
+
+def test_ba_degree_attack_samples_match_oracle():
+    # the bottleneck sweep's real traffic: BA-1024 once the degree attack
+    # has removed 10%, 20% and 30% of the nodes, when pendant trees abound
+    g = scale_free_ba(1024, 3, 3, seed=42)
+    order = plan_targeted_degree(g, g.n).order
+    for fraction in (0.1, 0.2, 0.3):
+        gone = set(order[:round(fraction * g.n)])
+        keep = np.array([u not in gone and v not in gone for u, v in g.edges])
+        assert_masked_matches_oracle(g, keep)
+
+
+def test_weighted_core_in_several_blocks(monkeypatch):
+    # a 20-cycle with a tree on every other node: every second root stands
+    # for several destinations, and blocks of 3 and of 1 roots split it
+    import netelast.routing as routing
+
+    g = with_trees(cycle_graph(20), 40, seed=9)
+    assert two_core_size(g) == 20
+    for cells in (1, 3 * 20):
+        monkeypatch.setattr(routing, "_BLOCK_CELLS", cells)
+        assert_matches_oracle(g)
+
+
+def test_keep_must_be_a_bool_mask_over_the_links():
+    g = path_graph(4)
+    fa = route_all_pairs(g, np.array([True, False, True]))
+    assert (fa.delivered, fa.link_load.tolist()) == (4, [2, 0, 2])
+    # an int 0/1 mask would index links instead of masking them
+    for keep in (np.array([1, 0, 1]), np.array([True, False]), np.ones((3, 1), dtype=bool)):
+        with pytest.raises(ValueError, match=r"bool array of shape \(3,\)"):
+            route_all_pairs(g, keep)
+
+
 def test_delivered_even_and_component_identity():
     for seed in range(20):
         g = erdos_renyi(20, 0.12, seed=seed)
@@ -175,26 +286,28 @@ def test_link_load_is_integer_array():
 
 def test_source_blocking(monkeypatch):
     # force the multi-block path that normally only triggers on large graphs:
-    # a deep tie-heavy grid, two components plus isolated nodes, and K9 with
+    # a deep tie-heavy grid, two components (a triangle with a pendant link,
+    # and a path that is peeled whole) plus isolated nodes, and K9 with
     # slots >> n, each routed one root per block and in blocks of 5 roots
-    # (5 divides none of their linked-node counts)
+    # (5 divides none of their routed 2-core node counts)
     import netelast.routing as routing
 
     two_parts = make_graph(14, [(0, 3), (3, 5), (5, 0), (5, 8), (2, 9), (9, 12), (12, 13)])
     for g in (erdos_renyi(26, 0.3, seed=13), grid_graph(6, 7), two_parts, complete_graph(9)):
-        linked = len({v for e in g.edges for v in e})
-        assert linked % 5
-        for cells in (1, 5 * linked):
+        core = two_core_size(g)
+        assert core % 5
+        for cells in (1, 5 * core):
             monkeypatch.setattr(routing, "_BLOCK_CELLS", cells)
             assert_matches_oracle(g)
 
 
 def test_route_memory_is_bounded_by_block_cells():
-    # a block holds roots x linked nodes cells, a few dozen bytes each (tree
-    # link, parent position, level order, subtree size), and each root adds
+    # a block holds roots x 2-core nodes cells, a few dozen bytes each (tree
+    # link, parent position, level order, subtree sum), and each root adds
     # one BFS over n + 2m vertices.  K200 has 39,800 slots for 200 nodes; the
-    # 1,500-node star routes 2.25 M cells, about 95 MB in a single block.
-    for g in (complete_graph(200), star_graph(1500)):
+    # 1,500-node wheel has no pendant node, so all of its 2.25 M cells are
+    # routed, about 100 MiB in a single block.
+    for g in (complete_graph(200), wheel_graph(1500)):
         tracemalloc.start()
         try:
             route_all_pairs(g)

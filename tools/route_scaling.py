@@ -8,8 +8,11 @@ netelast.route_all_pairs, imported from this checkout's src/.  Each graph is
 routed twice: once timed, once under tracemalloc for the peak allocation
 (tracing slows allocation, so it is kept out of the timed route).  Prints
 one line per graph, then per family the exponent k of a least-squares fit
-of time ~ n**k.  The BA-8192 and 64x128 routes take the longest, tens of
-seconds each on a 2-core VM.
+of time ~ n**k.  Last it routes the bottleneck sweep's real traffic:
+BA-1024 masked to the samples its degree attack (degrees recomputed after
+every removal, as in a sweep) leaves at 10%, 20% and 30% node removal, when
+pendant trees abound.  The BA-8192 and 64x128 routes take the longest, tens
+of seconds each on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from netelast import grid_graph, route_all_pairs, scale_free_ba  # noqa: E402
+from netelast import grid_graph, plan_targeted_degree, route_all_pairs, scale_free_ba  # noqa: E402
+from netelast.graph import edge_ends  # noqa: E402
 
 SIZES = (1024, 2048, 4096, 8192)
 GRID_SIDES = {1024: (32, 32), 2048: (32, 64), 4096: (64, 64), 8192: (64, 128)}
@@ -30,17 +34,27 @@ FAMILIES = {
     "ba": lambda n: scale_free_ba(n, 3, 3, seed=42),
     "grid": lambda n: grid_graph(*GRID_SIDES[n]),
 }
+ATTACK_FRACTIONS = (0.1, 0.2, 0.3)
 
 
-def measure(g) -> tuple[float, float]:
-    """Seconds of one route and MiB at the peak of another, traced."""
+def degree_attack_keep(g, fraction: float) -> np.ndarray:
+    """The links of g left once its degree attack has removed fraction of
+    the nodes, rounded half up as a sweep rounds its batch targets."""
+    gone = np.zeros(g.n, dtype=bool)
+    gone[list(plan_targeted_degree(g, int(fraction * g.n + 0.5)).order)] = True
+    return ~gone[edge_ends(g).reshape(-1, 2)].any(axis=1)
+
+
+def measure(g, keep: np.ndarray | None = None) -> tuple[float, float]:
+    """Seconds of one route of g (masked to keep) and MiB at the peak of
+    another, traced."""
     g.csr  # built once per graph, outside both measurements
     start = time.perf_counter()
-    route_all_pairs(g)
+    route_all_pairs(g, keep)
     seconds = time.perf_counter() - start
     tracemalloc.start()
     try:
-        route_all_pairs(g)
+        route_all_pairs(g, keep)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -58,6 +72,12 @@ def main() -> None:
                   flush=True)
         k = np.polyfit(np.log(SIZES), np.log(times), 1)[0]
         print(f"{family}: time ~ n^{k:.2f}", flush=True)
+    g = FAMILIES["ba"](1024)
+    for fraction in ATTACK_FRACTIONS:
+        keep = degree_attack_keep(g, fraction)
+        seconds, peak = measure(g, keep)
+        print(f"ba-1024 degree attack {fraction:.0%}: m={int(keep.sum())} "
+              f"route {seconds:.3f} s, peak {peak:.1f} MiB", flush=True)
 
 
 if __name__ == "__main__":
