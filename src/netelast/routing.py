@@ -9,18 +9,9 @@ sequence read destination-to-origin is lexicographically smallest wins.
 Tie handling is single-path on purpose: splitting flows would make the
 bottleneck load fractional.
 
-So the routes into one destination form a tree, and it is the tree that a
-FIFO breadth-first search from the destination builds when it scans every
-node's neighbors in ascending id order.  route_all_pairs searches only the
-graph's 2-core.  Pendant trees are peeled off first: every one of their
-links is a bridge, and a bridge that cuts a tree of w nodes off a component
-of C nodes carries 2*w*(C - w) flows whatever the tie rule.  Each core node
-then stands for itself and the trees peeled into it (its weight).  One
-search per core destination (scipy's breadth_first_order, which scans CSR
-rows in stored order) gives each core link's load as weighted subtree sums,
-counted once per destination the root stands for.  Lowest-id ties survive
-the contraction: the core is relabeled in id order, and a route's tree
-prefix and suffix are forced, so only its core segment is ever compared.
+route_all_pairs states why its tree per destination is that route, why
+pendant trees can be peeled off with a closed-form bridge load, and why
+routing only the 2-core that is left stays exact.
 
 Throughput of a graph is the number of deliverable ordered pairs divided by
 the bottleneck link load (the busiest link's flow count): the per-pair rate
@@ -43,7 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 
@@ -56,10 +47,10 @@ MODES = ("bottleneck", "flow-ratio")
 DEFAULT_MODE = "bottleneck"
 
 # Root-block cap in routed (root, 2-core node) cells.  A block takes about
-# 40 bytes a cell (three buffers every block reuses, and the level order),
-# so a route peaks near 8.5 MiB; routes ran no faster with blocks of 100k
-# to 500k cells, and slower below.
-_BLOCK_CELLS = 200_000
+# 45 bytes a cell (three buffers every block reuses, the level order and
+# the tree-link lookup), so a route peaks near 6 MiB; routes ran no faster
+# with blocks of 100k to 200k cells.
+_BLOCK_CELLS = 140_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,35 +116,31 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
 
     With keep, a boolean array of shape (g.m,) over g.edges (anything else
     raises ValueError), routes g masked to the kept links without building a
-    Graph: selecting the kept slots of g's CSR keeps each row in ascending
-    neighbor order, and the slot->link map restricted to them still names
-    g's link ids, so removed links read 0.
+    Graph: the kept slots of g's CSR (_cut) keep each row in ascending
+    neighbor order and still name g's link ids, so removed links read 0.
 
-    Pendant trees are not routed.  Degree-1 nodes are peeled off in rounds
-    (_peel), each folding its weight (itself plus the tree peeled into it)
-    into its one remaining neighbor.  A peeled link that cuts a tree of w
-    nodes off a component of C nodes is a bridge, crossed once by every
-    route between its sides, so it carries 2*w*(C - w) flows.  What is left
-    is the 2-core, relabeled monotonically (lowest-id order is unchanged),
-    and only its nodes are routed.  That is exact: a shortest path between
-    two core nodes never enters a pendant tree, and when s and t hang off
-    different core nodes a and b, the route of (s, t) runs the forced tree
-    path from t to b, a core segment from b to a, then the forced tree path
-    from a to s.  Every shortest path from t to s shares that prefix and
-    suffix, so the lexicographic choice falls to the core segment alone,
-    which is the core route of (a, b).
+    The routes into one destination t form a tree.  A FIFO BFS from t that
+    scans each node's neighbors in ascending id order reaches every level in
+    the lexicographic order of the tree paths read from t, so each node's
+    tree parent is, of its neighbors one hop closer to t, the one whose own
+    route is smallest; by induction the tree path to s is the
+    lexicographically smallest shortest path read from t, which is the
+    routing rule.  scipy's breadth_first_order keeps that order, as it scans
+    CSR rows in stored order.
 
-    One tree per core destination t holds the route of every pair into t.
-    A FIFO BFS from t that scans each node's neighbors in ascending id order
-    reaches every level in the lexicographic order of the tree paths read
-    from t, so each node's tree parent is, of its neighbors one hop closer
-    to t, the one whose own route is smallest; by induction the tree path
-    to s is the lexicographically smallest shortest path read from t, which
-    is the routing rule.  scipy's breadth_first_order keeps that order, as
-    it scans CSR rows in stored order.  It runs on a node->slot->node graph
-    (node u's row lists the slot vertices n + j of its CSR segment, slot
-    vertex n + j holds indices[j] alone), so a node's predecessor n + j
-    names its tree link slot_link[j] and its parent, the row of j.
+    Pendant trees are not searched.  Degree-1 nodes are peeled off in
+    rounds (_peel), each folding its weight (itself plus the tree peeled
+    into it) into its one remaining neighbor.  A peeled link that cuts a
+    tree of w nodes off a component of C nodes is a bridge, crossed once by
+    every route between its sides, so it carries 2*w*(C - w) flows whatever
+    the tie rule.  Only the 2-core is searched: the slots with both ends in
+    it, under the original ids, so lowest-id order is unchanged.  That is
+    exact: a shortest path between two core nodes never enters a pendant
+    tree, and when s and t hang off different core nodes a and b, the route
+    of (s, t) runs the forced tree path from t to b, a core segment from b
+    to a, then the forced tree path from a to s.  Every shortest path from
+    t to s shares that prefix and suffix, so the lexicographic choice falls
+    to the core segment alone, which is the core route of (a, b).
 
     Flow counts follow Brandes' (2001) dependency accumulation with a single
     predecessor: the link from a node to its parent carries one flow per
@@ -172,9 +159,7 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
         if keep.dtype != bool or keep.shape != (m,):
             raise ValueError(f"keep must be a bool array of shape ({m},), "
                              f"got {keep.dtype} of shape {keep.shape}")
-        kept = keep[slot_link]
-        indptr = np.concatenate(([0], np.cumsum(kept)))[indptr]
-        indices, slot_link = indices[kept], slot_link[kept]
+        indptr, indices, slot_link = _cut(indptr, indices, slot_link, keep[slot_link])
     if not len(indices):
         return FlowAssignment(link_load=np.zeros(m, dtype=np.int64), delivered=0, max_link_load=0)
 
@@ -189,59 +174,43 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     load_acc = np.zeros(m, dtype=np.float64)
     load_acc[up[peeled]] = 2 * w * (sizes[label[peeled]] - w)
 
-    # The 2-core, relabeled monotonically: every core node keeps >= 2 slots.
-    inner = np.repeat(core, np.diff(indptr)) & core[indices]
-    indptr = np.append(np.concatenate(([0], np.cumsum(inner)))[indptr[:-1][core]], inner.sum())
-    indices = (np.cumsum(core) - 1)[indices[inner]]
-    slot_link = slot_link[inner]
-    weight = weight[core]
-    n = len(indptr) - 1
-    nslots = len(indices)
-    slot_row = np.repeat(np.arange(n), np.diff(indptr))
-    # float64 data and the int32 indices scipy picks are what
-    # breadth_first_order works on, so it takes this graph as it is instead
-    # of copying it on every call.  The search reads no data, so slot
-    # vertex n + j's entry holds the weight of node indices[j], where slot
-    # j leads.
-    nv = n + nslots
-    data = np.concatenate((np.ones(nslots), weight[indices]), dtype=np.float64)
-    slot_weight = data[nslots:]
-    bfs_graph = csr_matrix(
-        (data, np.concatenate((n + np.arange(nslots), indices)),
-         np.concatenate((indptr, nslots + 1 + np.arange(nslots)))),
-        shape=(nv, nv))
-    del indices, inner  # not read past here: freed before the searches
+    indptr, indices, slot_link = _cut(indptr, indices, slot_link,
+                                      np.repeat(core, np.diff(indptr)) & core[indices])
+    # float64 data and the int32 indices csr_matrix picks are what
+    # breadth_first_order works on, so it searches this graph as it is.
+    # link_of shares its indices: entry (u, v) is the id of link uv plus 1,
+    # and an absent entry reads 0.
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    link_of = csr_array((slot_link + 1, graph.indices, graph.indptr), shape=(n, n))
+    del indices, slot_link  # not read past here: freed before the searches
+    roots = np.flatnonzero(core)
 
     # int64 like the level bounds, so searchsorted never casts the parents
     position = np.empty(n, dtype=np.int64)
-    block = max(1, _BLOCK_CELLS // max(n, 1))
+    block = max(1, _BLOCK_CELLS // max(len(roots), 1))
     # Buffers that every block reuses, as fresh ones would be paged in anew
-    # for each block; a block fills at most block * n entries of them.
-    slot_buf = np.empty(min(block, n) * n, dtype=np.intp)
-    parent_buf = np.empty_like(slot_buf)
-    subtree_buf = np.empty(len(slot_buf))
-    for first in range(0, n, block):
-        # The block's BFS orders of nodes, one root after the other: each
-        # entry's tree-link slot and its parent's position in the block.
+    # for each block; a block fills at most block * len(roots) entries.
+    node_buf = np.empty(min(block, len(roots)) * len(roots), dtype=np.int32)
+    parent_buf = np.empty(len(node_buf), dtype=np.int64)
+    subtree_buf = np.empty(len(node_buf))
+    for first in range(0, len(roots), block):
+        # The block's BFS orders, one root after the other: each entry's
+        # node and its parent's position in the block.
+        block_roots = roots[first:first + block]
         starts = []
         offset = 0
-        for t in range(first, min(first + block, n)):
-            order, pred = breadth_first_order(bfs_graph, t, return_predecessors=True)
-            order = order[order < n]
+        for t in block_roots:
+            order, pred = breadth_first_order(graph, t, return_predecessors=True)
             stop = offset + len(order)
-            slot = slot_buf[offset:stop]
-            np.subtract(pred[order], n, out=slot)
-            slot[0] = 0  # the root has no tree link; its load is masked below
+            node_buf[offset:stop] = order
+            pred[t] = t  # its own parent: keeps parents nondecreasing
             position[order] = np.arange(offset, stop)
-            parent_buf[offset:stop] = position[slot_row[slot]]
-            parent_buf[offset] = offset  # its own parent: keeps parents nondecreasing
+            parent_buf[offset:stop] = position[pred[order]]
             starts.append(offset)
             offset = stop
         starts, stops = np.array(starts), np.array(starts[1:] + [offset])
-        slot, parent, subtree = slot_buf[:offset], parent_buf[:offset], subtree_buf[:offset]
-        # Subtree sums start at each node's weight.  Every slot is in
-        # range, and mode="clip" skips take's buffered bounds check.
-        np.take(slot_weight, slot, out=subtree, mode="clip")
+        node, parent, subtree = node_buf[:offset], parent_buf[:offset], subtree_buf[:offset]
+        np.take(weight, node, out=subtree)
 
         # Level k of every root spans positions [bounds[k], bounds[k + 1]):
         # a level ends where the parents leave the level before it.
@@ -263,14 +232,21 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
         del by_level, kids  # kids, a view, would keep by_level into the next block
 
         # Each tree link carries one flow per source in the subtree below
-        # it, into each of the w(t) destinations behind the root t.
-        subtree[starts] = 0
-        for t in np.flatnonzero(weight[first:first + block] > 1):
-            subtree[starts[t]:stops[t]] *= weight[first + t]
-        load_acc += np.bincount(slot_link[slot], weights=subtree, minlength=m)
+        # it, into each of the w(t) destinations behind the root t.  A
+        # root's own entry reads link_of 0, a bin that is dropped.
+        for i in np.flatnonzero(weight[block_roots] > 1):
+            subtree[starts[i]:stops[i]] *= weight[block_roots[i]]
+        load_acc += np.bincount(link_of[node, node[parent]], weights=subtree, minlength=m + 1)[1:]
 
     link_load = load_acc.astype(np.int64)
     return FlowAssignment(link_load=link_load, delivered=delivered, max_link_load=int(link_load.max()))
+
+
+def _cut(indptr: np.ndarray, indices: np.ndarray, slot_link: np.ndarray,
+         kept: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR graph (indptr, indices, slot_link) cut to the slots where kept
+    is true: every node keeps its id, and each row its order."""
+    return np.concatenate(([0], np.cumsum(kept)))[indptr], indices[kept], slot_link[kept]
 
 
 def _peel(indptr: np.ndarray, indices: np.ndarray,
@@ -280,13 +256,13 @@ def _peel(indptr: np.ndarray, indices: np.ndarray,
     Each round peels every degree-1 node into its one remaining neighbor,
     reading only the peeled nodes' rows, so the whole peel reads each slot
     at most once.  Returns each node's weight (itself plus every node peeled
-    into it; final once the node is peeled), the 2-core mask, and each
-    node's peeled link, -1 if it was not peeled.  Two leaves joined to each
-    other are what is left of a tree: the higher id is peeled and the lower
-    one keeps the whole tree.
+    into it, a float64 count like the loads; final once the node is
+    peeled), the 2-core mask, and each node's peeled link, -1 if it was not
+    peeled.  Two leaves joined to each other are what is left of a tree:
+    the higher id is peeled and the lower one keeps the whole tree.
     """
     deg = np.diff(indptr)
-    weight = np.ones(len(deg), dtype=np.int64)
+    weight = np.ones(len(deg))
     up = np.full(len(deg), -1, dtype=np.int64)
     leaves = np.flatnonzero(deg == 1)
     while len(leaves):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from netelast import (
     Graph,
@@ -22,6 +24,7 @@ from netelast import (
     route_all_pairs,
     scale_free_ba,
     star_graph,
+    sweep,
     throughput,
     wheel_graph,
 )
@@ -98,8 +101,9 @@ def test_oracle_equivalence_fixtures():
         assert_matches_oracle(g)
 
 
-def two_core_size(g):
-    """Nodes left once degree-0 and degree-1 nodes are stripped repeatedly."""
+def two_core(g):
+    """The nodes left, ascending, once degree-0 and degree-1 nodes are
+    stripped repeatedly."""
     nbrs = {v: set() for v in range(g.n)}
     for u, v in g.edges:
         nbrs[u].add(v)
@@ -111,7 +115,7 @@ def two_core_size(g):
             nbrs[u].discard(v)
             if len(nbrs[u]) == 1:
                 low.append(u)
-    return len(nbrs)
+    return sorted(nbrs)
 
 
 def with_trees(g, extra, seed, path=False):
@@ -185,13 +189,42 @@ def test_ba_degree_attack_samples_match_oracle():
         assert_masked_matches_oracle(g, keep)
 
 
+def test_path_lengths_over_a_whole_degree_sweep(monkeypatch):
+    # every flow crosses one link per hop, so over every bottleneck sample of
+    # the paper-default BA-1024 degree sweep the loads sum to the finite
+    # off-diagonal hop distances, and delivered counts them: a tree at the
+    # wrong depth breaks the sum, on all 81 samples, more than the
+    # brute-force oracle has time for
+    import netelast.routing as routing
+
+    g = scale_free_ba(1024, 3, 3, seed=42)
+    routes = []
+
+    def recorded(graph, keep=None):
+        routes.append((keep, route_all_pairs(graph, keep)))
+        return routes[-1][1]
+
+    monkeypatch.setattr(routing, "route_all_pairs", recorded)
+    sweep(g, plan_targeted_degree(g, g.n))
+    assert len(routes) == 81
+    ends = np.array(g.edges)
+    for keep, fa in routes:
+        u, v = ends[keep].T
+        hops = shortest_path(csr_matrix((np.ones(len(u)), (u, v)), shape=(g.n, g.n)),
+                             directed=False, unweighted=True)
+        off_diagonal = np.isfinite(hops)
+        np.fill_diagonal(off_diagonal, False)
+        assert int(fa.link_load.sum()) == int(hops[off_diagonal].sum())
+        assert fa.delivered == int(off_diagonal.sum())
+
+
 def test_weighted_core_in_several_blocks(monkeypatch):
     # a 20-cycle with a tree on every other node: every second root stands
     # for several destinations, and blocks of 3 and of 1 roots split it
     import netelast.routing as routing
 
     g = with_trees(cycle_graph(20), 40, seed=9)
-    assert two_core_size(g) == 20
+    assert len(two_core(g)) == 20
     for cells in (1, 3 * 20):
         monkeypatch.setattr(routing, "_BLOCK_CELLS", cells)
         assert_matches_oracle(g)
@@ -287,24 +320,35 @@ def test_link_load_is_integer_array():
 def test_source_blocking(monkeypatch):
     # force the multi-block path that normally only triggers on large graphs:
     # a deep tie-heavy grid, two components (a triangle with a pendant link,
-    # and a path that is peeled whole) plus isolated nodes, and K9 with
-    # slots >> n, each routed one root per block and in blocks of 5 roots
-    # (5 divides none of their routed 2-core node counts)
+    # and a path that is peeled whole) plus isolated nodes, K9 with slots
+    # >> n, and a 13-cycle under 20 tree nodes, each routed one root per
+    # block and in blocks of 5 roots (5 divides none of their routed 2-core
+    # node counts)
     import netelast.routing as routing
 
     two_parts = make_graph(14, [(0, 3), (3, 5), (5, 0), (5, 8), (2, 9), (9, 12), (12, 13)])
-    for g in (erdos_renyi(26, 0.3, seed=13), grid_graph(6, 7), two_parts, complete_graph(9)):
-        core = two_core_size(g)
-        assert core % 5
-        for cells in (1, 5 * core):
+    trees_on_cycle = with_trees(cycle_graph(13), 20, seed=10)
+    # Its core ids interleave with peeled ids, and core nodes carrying a
+    # tree sit inside blocks, so each root must scale by its own weight,
+    # not by the weight of the node whose id is the root's rank in the core.
+    core = two_core(trees_on_cycle)
+    assert core != list(range(len(core)))
+    bearing = {u for e in trees_on_cycle.edges for u, v in (e, e[::-1])
+               if u in core and v not in core}
+    assert sum(core.index(v) % 5 > 0 for v in bearing) >= 2
+    for g in (erdos_renyi(26, 0.3, seed=13), grid_graph(6, 7), two_parts, complete_graph(9),
+              trees_on_cycle):
+        size = len(two_core(g))
+        assert size % 5
+        for cells in (1, 5 * size):
             monkeypatch.setattr(routing, "_BLOCK_CELLS", cells)
             assert_matches_oracle(g)
 
 
 def test_route_memory_is_bounded_by_block_cells():
-    # a block holds roots x 2-core nodes cells, a few dozen bytes each (tree
-    # link, parent position, level order, subtree sum), and each root adds
-    # one BFS over n + 2m vertices.  K200 has 39,800 slots for 200 nodes; the
+    # a block holds roots x 2-core nodes cells, a few dozen bytes each (node,
+    # parent position, level order, subtree sum, tree link), and each root
+    # adds one BFS over n vertices.  K200 has 39,800 slots for 200 nodes; the
     # 1,500-node wheel has no pendant node, so all of its 2.25 M cells are
     # routed, about 100 MiB in a single block.
     for g in (complete_graph(200), wheel_graph(1500)):
