@@ -56,26 +56,22 @@ def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> Attack
     return AttackPlan(kind="node", strategy="degree", order=tuple(order))
 
 
-def _fisher_yates(count_total: int, rng: random.Random) -> list[int]:
-    ids = list(range(count_total))
-    for i in range(count_total - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        ids[i], ids[j] = ids[j], ids[i]
-    return ids
-
-
 def plan_random_nodes(g: Graph, count: int, seed: int) -> AttackPlan:
-    """Uniform node sample without replacement (seeded Fisher-Yates shuffle)."""
+    """Uniform node sample without replacement: the first count ids of
+    range(n) after random.Random(seed).shuffle, a Fisher-Yates shuffle."""
     if not 0 <= count <= g.n:
         raise ValueError(f"count must lie in 0..{g.n}")
-    order = _fisher_yates(g.n, random.Random(seed))[:count]
-    return AttackPlan(kind="node", strategy="random-node", order=tuple(order), seed=seed)
+    ids = list(range(g.n))
+    random.Random(seed).shuffle(ids)
+    return AttackPlan(kind="node", strategy="random-node", order=tuple(ids[:count]), seed=seed)
 
 
 def plan_random_links(g: Graph, count: int, seed: int) -> AttackPlan:
-    """Uniform link sample without replacement (seeded Fisher-Yates shuffle)."""
+    """Uniform link sample without replacement: the links at the first count
+    ids of range(m) after random.Random(seed).shuffle, a Fisher-Yates shuffle."""
     if not 0 <= count <= g.m:
         raise ValueError(f"count must lie in 0..{g.m}")
-    picks = _fisher_yates(g.m, random.Random(seed))[:count]
-    order = tuple(g.edges[i] for i in picks)
+    ids = list(range(g.m))
+    random.Random(seed).shuffle(ids)
+    order = tuple(g.edges[i] for i in ids[:count])
     return AttackPlan(kind="link", strategy="random-link", order=order, seed=seed)

@@ -5,20 +5,22 @@ A sweep removes the planned entities in equal batches and records one
 three steps: prepare (validate, fix the batch targets and each link's
 removal rank), measure (routing's masked_throughputs of the intact graph and
 every sample), finish (normalize and clamp into a curve).  A multi-trial
-study prepares every trial here, then measures the pieces of work routing
-names, one (trial, group of targets) item each, through one map: the
-builtin one, or a process pool's whose workers receive the intact graph and
-the ranks once.  Elasticity is the trapezoid area under the curve on a
-percent axis, divided by the maximal possible area
-100 * max_removal_fraction, so a curve pinned at 1 over the full sweep
-scores exactly 1.
+study plans every trial here; its trials share one target list and differ
+only in their link ranks.  It measures the pieces of work routing names,
+one (trial, group of targets) item each, through one map: the builtin one,
+or a process pool's whose workers receive the intact graph and the ranks
+once.  Its mean curve and result are the first trial's curve and the mean
+curve's elasticity with the averaged fields replaced.  Elasticity is the
+trapezoid area under the curve on a percent axis, divided by the maximal
+possible area 100 * max_removal_fraction, so a curve pinned at 1 over the
+full sweep scores exactly 1.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Sequence
 
@@ -280,16 +282,17 @@ def averaged_elasticity(
     """Average elasticity over seeded trials of a (possibly stochastic) attack.
 
     Trial k uses seed + k; the targeted strategy is deterministic, so it is
-    forced to a single trial.  Every trial is planned and validated here;
-    the work items, one per (trial, group of targets) as routing's
-    target_groups splits them, then run in min(jobs, items) processes,
-    those that keep the most links first, as they take longest.  The
-    intact graph measured alone (a bottleneck study's target 0) is one
-    item shared by all trials.  Returns
-    the mean result (per-trial values and their sample standard deviation
-    included), the pointwise-mean curve, and every per-trial curve.  Curves
-    are rebuilt and aggregated in fixed trial and sample order, so worker
-    count never changes the outcome.
+    forced to a single trial.  Every trial is planned here.  All trials
+    sweep the same entity kind and total in the same batches, so the sweep
+    is validated and its targets grouped (routing's target_groups) once;
+    only the link ranks are per trial.  The work items, one per (trial,
+    group of targets), then run in min(jobs, items) processes, those that
+    keep the most links first, as they take longest.  The intact graph
+    measured alone (a bottleneck study's target 0) is one item shared by
+    all trials.  Returns the mean result (per-trial values and their sample
+    standard deviation included), the pointwise-mean curve, and every
+    per-trial curve.  Curves are rebuilt and aggregated in fixed trial and
+    sample order, so worker count never changes the outcome.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -298,62 +301,47 @@ def averaged_elasticity(
     if strategy == "degree":
         trials = 1
     plans = [_plan(g, strategy, recompute, s) for s in range(seed, seed + trials)]
-    targets = [_sweep_targets(g, p, max_removal_fraction, steps, mode)[1] for p in plans]
-    ranks = [_link_ranks(g, p, t[-1]) for p, t in zip(plans, targets)]
-    groups = [target_groups(t, mode) for t in targets]
+    targets = _sweep_targets(g, plans[0], max_removal_fraction, steps, mode)[1]
+    groups = target_groups(targets, mode)
+    ranks = [_link_ranks(g, p, targets[-1]) for p in plans]
 
     def item(k: int, group: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         # Target 0 keeps every link whatever the ranks, so the intact graph
         # measured alone is one item, trial 0's, shared by every trial.
         return (0, group) if group == (0,) else (k, group)
 
-    items = sorted({item(k, group) for k, gs in enumerate(groups) for group in gs},
+    items = sorted({item(k, group) for k in range(trials) for group in groups},
                    key=lambda it: (it[1][0], it[0]))
     measured = dict(zip(items, _measure_all(items, (g, ranks, mode), min(jobs, len(items)))))
     curves = tuple(
         sweep(g, plan, max_removal_fraction, steps, mode,
-              throughputs=[v for group in gs for v in measured[item(k, group)]])
-        for k, (plan, gs) in enumerate(zip(plans, groups))
+              throughputs=[v for group in groups for v in measured[item(k, group)]])
+        for k, plan in enumerate(plans)
     )
 
     fractions = [f for f, _ in curves[0].samples]
     for c in curves[1:]:
         if [f for f, _ in c.samples] != fractions:
             raise RuntimeError("trial curves fell out of alignment")
-    mean_samples = tuple(
-        (f, math.fsum(c.samples[i][1] for c in curves) / trials)
-        for i, f in enumerate(fractions)
-    )
-    mean_curve = ThroughputCurve(
-        samples=mean_samples,
-        mode=mode,
-        kind=curves[0].kind,
-        max_removal_fraction=max_removal_fraction,
-        steps=steps,
+    mean_curve = replace(
+        curves[0],
+        samples=tuple((f, math.fsum(c.samples[i][1] for c in curves) / trials)
+                      for i, f in enumerate(fractions)),
         clamp_events=sum(c.clamp_events for c in curves),
-        strategy=strategy,
         seed=seed,
     )
 
-    per_trial = tuple(elasticity(c) for c in curves)
+    per_trial = [elasticity(c) for c in curves]
     values = tuple(r.elasticity for r in per_trial)
     mean_e = math.fsum(values) / trials
-    mean_area = math.fsum(r.area for r in per_trial) / trials
+    std = 0.0
     if trials > 1:
-        var = math.fsum((v - mean_e) ** 2 for v in values) / (trials - 1)
-        std = math.sqrt(var)
-    else:
-        std = 0.0
-    result = ElasticityResult(
-        area=mean_area,
+        std = math.sqrt(math.fsum((v - mean_e) ** 2 for v in values) / (trials - 1))
+    result = replace(
+        elasticity(mean_curve),
+        area=math.fsum(r.area for r in per_trial) / trials,
         elasticity=mean_e,
-        strategy=strategy,
-        mode=mode,
         trials=trials,
-        seed=seed,
-        steps=steps,
-        max_removal_fraction=max_removal_fraction,
-        clamp_events=mean_curve.clamp_events,
         per_trial_elasticity=values,
         elasticity_std=std,
     )

@@ -52,9 +52,15 @@ class Graph:
         each node's links in canonical order, which is ascending neighbor
         order (all lower neighbors precede all upper ones), i.e. exactly the
         sorted adjacency.  Entry 2e or 2e+1 of the flattened list belongs to
-        link e, so the sort permutation itself is the slot->link map.
+        link e, so the sort permutation itself is the slot->link map.  Every
+        reader relies on that, so a non-canonical list is refused here.
         """
         ends = edge_ends(self)
+        u, v = ends[0::2], ends[1::2]
+        if self.m and not (u.min() >= 0 and v.max() < self.n and (u < v).all()
+                           and (np.diff(u * self.n + v) > 0).all()):
+            raise ValueError("edges must be canonical: ids in 0..n-1, u < v on "
+                             "each link, links strictly ascending")
         order = np.argsort(ends, kind="stable")
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(ends, minlength=self.n), out=indptr[1:])

@@ -40,10 +40,9 @@ def laplacian(g: Graph, size_guard: int = DEFAULT_SIZE_GUARD) -> np.ndarray:
             f"n={g.n} exceeds the dense-Laplacian guard ({size_guard}); "
             f"pass a larger size_guard to accept the n^2 x 8-byte matrix"
         )
+    lap = np.diag(np.array(g.degrees(), dtype=np.float64))
     ends = edge_ends(g)
-    lap = np.zeros((g.n, g.n), dtype=np.float64)
     lap[ends[0::2], ends[1::2]] = lap[ends[1::2], ends[0::2]] = -1.0
-    lap[np.diag_indices(g.n)] = g.degrees()
     return lap
 
 

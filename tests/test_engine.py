@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from netelast import (
     AttackPlan,
+    ElasticityResult,
     ThroughputCurve,
     area_under_curve,
     averaged_elasticity,
@@ -261,6 +262,59 @@ def test_averaged_jobs_do_not_change_result():
             assert serial.result == parallel.result
             assert serial.mean_curve == parallel.mean_curve
             assert serial.trial_curves == parallel.trial_curves
+
+
+@pytest.mark.parametrize("strategy, mode, trials", [
+    ("random-link", "bottleneck", 4),
+    ("random-node", "flow-ratio", 3),
+    ("degree", "bottleneck", 3),
+])
+def test_averaged_result_fields_are_exact(strategy, mode, trials):
+    g = erdos_renyi(20, 0.25, seed=7)
+    if strategy == "degree":
+        plans = [plan_targeted_degree(g, g.n)]
+    elif strategy == "random-node":
+        plans = [plan_random_nodes(g, g.n, 11 + k) for k in range(trials)]
+    else:
+        plans = [plan_random_links(g, g.m, 11 + k) for k in range(trials)]
+    study = averaged_elasticity(g, strategy, trials=trials, seed=11, steps=5, mode=mode)
+    curves = tuple(sweep(g, p, steps=5, mode=mode) for p in plans)
+    assert study.trial_curves == curves
+    trials = len(curves)  # the targeted strategy is forced to one trial
+
+    first = curves[0]
+    mean_curve = ThroughputCurve(
+        samples=tuple((f, math.fsum(c.samples[i][1] for c in curves) / trials)
+                      for i, (f, _) in enumerate(first.samples)),
+        mode=mode,
+        kind=first.kind,
+        max_removal_fraction=0.8,
+        steps=5,
+        clamp_events=sum(c.clamp_events for c in curves),
+        strategy=strategy,
+        seed=11,
+    )
+    values = tuple(elasticity(c).elasticity for c in curves)
+    mean_e = math.fsum(values) / trials
+    std = (math.sqrt(math.fsum((v - mean_e) ** 2 for v in values) / (trials - 1))
+           if trials > 1 else 0.0)
+    result = ElasticityResult(
+        area=math.fsum(area_under_curve(c) for c in curves) / trials,
+        elasticity=mean_e,
+        strategy=strategy,
+        mode=mode,
+        trials=trials,
+        seed=11,
+        steps=5,
+        max_removal_fraction=0.8,
+        clamp_events=mean_curve.clamp_events,
+        per_trial_elasticity=values,
+        elasticity_std=std,
+    )
+    assert study.mean_curve == mean_curve
+    assert study.result == result
+    if strategy == "degree":
+        assert first.seed is None
 
 
 @pytest.mark.parametrize("study", [

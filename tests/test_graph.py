@@ -8,15 +8,19 @@ from hypothesis import strategies as st
 
 from netelast import (
     EdgeListParseError,
+    Graph,
     connected_components,
     cycle_graph,
     dump_edge_list,
     erdos_renyi,
+    laplacian,
     load_edge_list,
     make_graph,
     path_graph,
+    plan_targeted_degree,
     remove_links,
     remove_nodes,
+    route_all_pairs,
     star_graph,
     wheel_graph,
 )
@@ -203,3 +207,19 @@ def test_csr_rows_slot_links_and_degrees(g):
         assert row == sorted(row)
         for s in range(indptr[v], indptr[v + 1]):
             assert g.edges[slot_link[s]] == (min(v, indices[s]), max(v, indices[s]))
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2), (0, 2), (0, 2)],  # repeated link
+    [(0, 1), (1, 1), (1, 2)],  # self-loop
+    [(0, 1), (1, 3)],  # id past n - 1
+    [(0, 2), (0, 1)],  # links out of order
+], ids=["duplicate", "self-loop", "out-of-range", "descending"])
+def test_non_canonical_edge_list_is_refused(edges):
+    # Routing, the degree planner, degrees() and the Laplacian all read the
+    # CSR, so each refuses the list with the same message.
+    readers = [lambda g: g.csr, Graph.degrees, route_all_pairs, laplacian,
+               lambda g: plan_targeted_degree(g, g.n)]
+    for read in readers:
+        with pytest.raises(ValueError, match="edges must be canonical"):
+            read(Graph(3, edges))
