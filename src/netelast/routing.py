@@ -46,10 +46,12 @@ from .graph import Graph, edge_ends
 MODES = ("bottleneck", "flow-ratio")
 DEFAULT_MODE = "bottleneck"
 
-# Root-block cap in routed (root, 2-core node) cells.  A block takes about
-# 45 bytes a cell (three buffers every block reuses, the level order and
-# the tree-link lookup), so a route peaks near 6 MiB; routes ran no faster
-# with blocks of 100k to 200k cells.
+# Root-block cap in routed (root, 2-core node) cells.  A route's tracemalloc
+# peak grows by about 52 bytes a cell: 44 in the six buffers allocated once
+# per route (node 4; parent position, subtree sum, level order and two
+# gather buffers 8 each) and 8 in the tree-link lookup that scipy returns,
+# so a route peaks near 8 MiB.  Grid 64x64 and BA-1024/4096 routes ran no
+# faster with blocks of 70k or 200k cells.
 _BLOCK_CELLS = 140_000
 
 
@@ -185,14 +187,22 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     del indices, slot_link  # not read past here: freed before the searches
     roots = np.flatnonzero(core)
 
-    # int64 like the level bounds, so searchsorted never casts the parents
+    # each node's place in the BFS order of the root being searched
     position = np.empty(n, dtype=np.int64)
     block = max(1, _BLOCK_CELLS // max(len(roots), 1))
-    # Buffers that every block reuses, as fresh ones would be paged in anew
-    # for each block; a block fills at most block * len(roots) entries.
-    node_buf = np.empty(min(block, len(roots)) * len(roots), dtype=np.int32)
-    parent_buf = np.empty(len(node_buf), dtype=np.int64)
-    subtree_buf = np.empty(len(node_buf))
+    # Every array of block size is allocated once, here, and each block
+    # writes into slices of it, as fresh ones would be paged in anew for
+    # each block; a block fills at most block * len(roots) entries.
+    cells = min(block, len(roots)) * len(roots)
+    count = np.arange(n)  # places in one BFS order, so of size n
+    node_buf = np.empty(cells, dtype=np.int32)
+    # int64 like the level bounds, so searchsorted never casts the parents
+    parent_buf = np.empty(cells, dtype=np.int64)
+    subtree_buf = np.empty(cells)
+    level_buf = np.empty(cells, dtype=np.int64)
+    # a level's parent positions; viewed as int32, each entry's parent node
+    gather_buf = np.empty(cells, dtype=np.int64)
+    sum_buf = np.empty(cells)
     for first in range(0, len(roots), block):
         # The block's BFS orders, one root after the other: each entry's
         # node and its parent's position in the block.
@@ -204,42 +214,69 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
             stop = offset + len(order)
             node_buf[offset:stop] = order
             pred[t] = t  # its own parent: keeps parents nondecreasing
-            position[order] = np.arange(offset, stop)
-            parent_buf[offset:stop] = position[pred[order]]
+            position[order] = count[:len(order)]
+            np.add(position.take(pred.take(order)), offset, out=parent_buf[offset:stop])
             starts.append(offset)
             offset = stop
         starts, stops = np.array(starts), np.array(starts[1:] + [offset])
         node, parent, subtree = node_buf[:offset], parent_buf[:offset], subtree_buf[:offset]
-        np.take(weight, node, out=subtree)
 
         # Level k of every root spans positions [bounds[k], bounds[k + 1]):
-        # a level ends where the parents leave the level before it.
+        # a level ends where the parents leave the level before it.  The
+        # parents never decrease over the whole block (each root is its own
+        # parent), so no level runs past its root's order.
         bounds = [starts, starts + 1]
         while True:
-            end = np.minimum(np.searchsorted(parent, bounds[-1]), stops)
+            end = parent.searchsorted(bounds[-1])
             if (end == bounds[-1]).all():
                 break
             bounds.append(end)
         lo, hi = np.array(bounds[1:-1]), np.array(bounds[2:])
-        lens = (hi - lo).ravel()
-        by_level = np.repeat(lo.ravel() - np.cumsum(lens) + lens, lens)
-        by_level += np.arange(len(by_level))
+        by_level = _level_order(lo.ravel(), (hi - lo).ravel(), level_buf)
+
+        # take buffers its out array unless its mode is "clip" or "wrap",
+        # and those never raise, so the indices are range checked here.
+        for index, size in ((node, n), (parent, offset), (by_level, offset)):
+            if len(index) and (index.min() < 0 or index.max() >= size):
+                raise IndexError(f"route index out of range 0..{size - 1}")
+        weight.take(node, out=subtree, mode="clip")
 
         # Subtree sums, deepest level first; the sums are exact integers,
         # so the order within a level is free.
         for kids in np.split(by_level, np.cumsum((hi - lo).sum(axis=1))[:-1])[::-1]:
-            np.add.at(subtree, parent[kids], subtree[kids])
-        del by_level, kids  # kids, a view, would keep by_level into the next block
+            np.add.at(subtree, parent.take(kids, out=gather_buf[:len(kids)], mode="clip"),
+                      subtree.take(kids, out=sum_buf[:len(kids)], mode="clip"))
 
         # Each tree link carries one flow per source in the subtree below
         # it, into each of the w(t) destinations behind the root t.  A
         # root's own entry reads link_of 0, a bin that is dropped.
         for i in np.flatnonzero(weight[block_roots] > 1):
             subtree[starts[i]:stops[i]] *= weight[block_roots[i]]
-        load_acc += np.bincount(link_of[node, node[parent]], weights=subtree, minlength=m + 1)[1:]
+        parent_node = node.take(parent, out=gather_buf.view(np.int32)[:offset], mode="clip")
+        load_acc += np.bincount(link_of[node, parent_node], weights=subtree, minlength=m + 1)[1:]
 
     link_load = load_acc.astype(np.int64)
     return FlowAssignment(link_load=link_load, delivered=delivered, max_link_load=int(link_load.max()))
+
+
+def _level_order(lo: np.ndarray, lens: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The runs lo[i], lo[i] + 1, ..., lo[i] + lens[i] - 1 one after the
+    other, written into the front of out and returned as that slice.
+
+    It is np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    built in place: ones, a jump at the start of each non-empty run, then a
+    running sum, so no array of out's size is allocated.
+    """
+    full = lens > 0
+    lo, lens = lo[full], lens[full]
+    order = out[:lens.sum()]
+    order.fill(1)
+    if len(lo):
+        jump = lo.copy()
+        jump[1:] -= lo[:-1] + lens[:-1] - 1
+        order[np.cumsum(lens) - lens] = jump
+        np.cumsum(order, out=order)
+    return order
 
 
 def _cut(indptr: np.ndarray, indices: np.ndarray, slot_link: np.ndarray,
@@ -305,10 +342,11 @@ def masked_throughputs(
     exactly as int/int) from one reverse union-find pass over all targets,
     without routing.  Only routing branches on mode: here, for what a
     mode measures, and in target_groups, for which targets are measured
-    together.
+    together.  Both modes refuse a non-canonical edge list, as g.csr does.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
+    g.csr  # the union-find reads g.edges alone, so it would not check them
     if mode == "flow-ratio":
         return _pair_counts(g, rank, targets)
     values = []

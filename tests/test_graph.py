@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from netelast import (
     EdgeListParseError,
     Graph,
+    averaged_elasticity,
     connected_components,
     cycle_graph,
     dump_edge_list,
@@ -22,6 +23,7 @@ from netelast import (
     remove_nodes,
     route_all_pairs,
     star_graph,
+    throughput,
     wheel_graph,
 )
 
@@ -217,9 +219,12 @@ def test_csr_rows_slot_links_and_degrees(g):
 ], ids=["duplicate", "self-loop", "out-of-range", "descending"])
 def test_non_canonical_edge_list_is_refused(edges):
     # Routing, the degree planner, degrees() and the Laplacian all read the
-    # CSR, so each refuses the list with the same message.
+    # CSR, so each refuses the list with the same message; flow-ratio mode,
+    # whose union-find reads the edges alone, reads the CSR to check them.
     readers = [lambda g: g.csr, Graph.degrees, route_all_pairs, laplacian,
-               lambda g: plan_targeted_degree(g, g.n)]
+               lambda g: plan_targeted_degree(g, g.n),
+               lambda g: throughput(g, "flow-ratio"),
+               lambda g: averaged_elasticity(g, "random-link", trials=2, mode="flow-ratio")]
     for read in readers:
         with pytest.raises(ValueError, match="edges must be canonical"):
             read(Graph(3, edges))

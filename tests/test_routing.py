@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from netelast import (
     Graph,
@@ -28,7 +28,7 @@ from netelast import (
     throughput,
     wheel_graph,
 )
-from netelast.routing import delivered_flow_count, masked_throughputs
+from netelast.routing import _level_order, delivered_flow_count, masked_throughputs
 
 from flow_oracle import brute_force_flows, total_path_length
 
@@ -346,11 +346,12 @@ def test_source_blocking(monkeypatch):
 
 
 def test_route_memory_is_bounded_by_block_cells():
-    # a block holds roots x 2-core nodes cells, a few dozen bytes each (node,
-    # parent position, level order, subtree sum, tree link), and each root
-    # adds one BFS over n vertices.  K200 has 39,800 slots for 200 nodes; the
-    # 1,500-node wheel has no pendant node, so all of its 2.25 M cells are
-    # routed, about 100 MiB in a single block.
+    # a block holds roots x 2-core nodes cells, about 52 bytes each (node 4;
+    # parent position, subtree sum, level order and two gather buffers 8
+    # each; the tree-link lookup 8), and each root adds one BFS over n
+    # vertices.  K200 has 39,800 slots for 200 nodes; the 1,500-node wheel
+    # has no pendant node, so all of its 2.25 M cells are routed, about
+    # 110 MiB in a single block.
     for g in (complete_graph(200), wheel_graph(1500)):
         tracemalloc.start()
         try:
@@ -359,6 +360,39 @@ def test_route_memory_is_bounded_by_block_cells():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def test_route_refuses_a_search_order_out_of_range(monkeypatch):
+    # The gathers take no bounds check (np.take in "clip" mode would read
+    # node -1 as node 0), so the route range checks its own index arrays.
+    import netelast.routing as routing
+
+    def corrupted(graph, t, return_predecessors):
+        order, pred = breadth_first_order(graph, t, return_predecessors=return_predecessors)
+        order[-1] = -1
+        return order, pred
+
+    monkeypatch.setattr(routing, "breadth_first_order", corrupted)
+    with pytest.raises(IndexError, match="route index out of range"):
+        route_all_pairs(cycle_graph(6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 4)), max_size=24))
+@example(runs=[(1, 2), (3, 4)])  # a single root, two levels
+@example(runs=[(1, 2), (7, 1), (3, 3), (8, 0)])  # two roots, unequal depth
+@example(runs=[(5, 0), (9, 0), (5, 0), (9, 0)])  # every run empty
+def test_level_order_equals_the_repeat_reference(runs):
+    # runs is a level table raveled as the route ravels it, level by level
+    # and within a level root by root: each run's first position and length
+    lo = np.array([start for start, _ in runs], dtype=np.int64)
+    lens = np.array([length for _, length in runs], dtype=np.int64)
+    reference = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    out = np.full(lens.sum() + 3, -7, dtype=np.int64)
+    order = _level_order(lo, lens, out)
+    assert order.tolist() == reference.tolist()
+    assert order.base is out
+    assert out[len(order):].tolist() == [-7] * 3
 
 
 @st.composite

@@ -1,11 +1,13 @@
-"""How one all-pairs route grows with the graph: time and peak allocation.
+"""How one all-pairs route grows with the graph: time, page faults and peak
+allocation.
 
     python3 tools/route_scaling.py
 
 Routes preferential-attachment graphs (ba:n:3:3, seed 42) and grids
 (32x32, 32x64, 64x64, 64x128) of n = 1024, 2048, 4096 and 8192 nodes with
 netelast.route_all_pairs, imported from this checkout's src/.  Each graph is
-routed twice: once timed, once under tracemalloc for the peak allocation
+routed twice: once timed, counting the minor page faults the route takes
+(memory freshly paged in), once under tracemalloc for the peak allocation
 (tracing slows allocation, so it is kept out of the timed route).  Prints
 one line per graph, then per family the exponent k of a least-squares fit
 of time ~ n**k.  Last it routes the bottleneck sweep's real traffic:
@@ -17,6 +19,7 @@ of seconds each on a 2-core VM.
 
 from __future__ import annotations
 
+import resource
 import sys
 import time
 import tracemalloc
@@ -45,20 +48,22 @@ def degree_attack_keep(g, fraction: float) -> np.ndarray:
     return ~gone[edge_ends(g).reshape(-1, 2)].any(axis=1)
 
 
-def measure(g, keep: np.ndarray | None = None) -> tuple[float, float]:
-    """Seconds of one route of g (masked to keep) and MiB at the peak of
-    another, traced."""
+def measure(g, keep: np.ndarray | None = None) -> tuple[float, int, float]:
+    """Seconds and minor page faults of one route of g (masked to keep), and
+    MiB at the peak of another, traced."""
     g.csr  # built once per graph, outside both measurements
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     route_all_pairs(g, keep)
     seconds = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     tracemalloc.start()
     try:
         route_all_pairs(g, keep)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return seconds, peak / 2**20
+    return seconds, faults, peak / 2**20
 
 
 def main() -> None:
@@ -66,18 +71,18 @@ def main() -> None:
         times = []
         for n in SIZES:
             g = build(n)
-            seconds, peak = measure(g)
+            seconds, faults, peak = measure(g)
             times.append(seconds)
-            print(f"{family}-{n}: n={g.n} m={g.m} route {seconds:.3f} s, peak {peak:.1f} MiB",
-                  flush=True)
+            print(f"{family}-{n}: n={g.n} m={g.m} route {seconds:.3f} s, {faults} faults, "
+                  f"peak {peak:.1f} MiB", flush=True)
         k = np.polyfit(np.log(SIZES), np.log(times), 1)[0]
         print(f"{family}: time ~ n^{k:.2f}", flush=True)
     g = FAMILIES["ba"](1024)
     for fraction in ATTACK_FRACTIONS:
         keep = degree_attack_keep(g, fraction)
-        seconds, peak = measure(g, keep)
+        seconds, faults, peak = measure(g, keep)
         print(f"ba-1024 degree attack {fraction:.0%}: m={int(keep.sum())} "
-              f"route {seconds:.3f} s, peak {peak:.1f} MiB", flush=True)
+              f"route {seconds:.3f} s, {faults} faults, peak {peak:.1f} MiB", flush=True)
 
 
 if __name__ == "__main__":
