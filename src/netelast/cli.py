@@ -53,9 +53,10 @@ def _curve_csv(curve) -> str:
 
 
 def _load_graph(path: str | None, spec: str | None, seed: int) -> tuple[Graph, str]:
-    """Load an edge-list file or, when no path is given, generate spec."""
+    """Load an edge-list file or, when no path is given, generate spec.
+    A byte-order mark at the start of the file is dropped."""
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return load_edge_list(fh), Path(path).stem
     kind, params = parse_generator_spec(spec)
     return generate(kind, params, seed=seed), spec.replace(":", "-")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .attacks import AttackPlan, plan_random_links, plan_random_nodes, plan_targeted_degree
 from .graph import Graph, edge_ends
-from .routing import DEFAULT_MODE, MODES, masked_throughputs, target_groups
+from .routing import DEFAULT_MODE, MODES, masked_throughputs, preload, target_groups
 
 DEFAULT_STEPS = 80
 DEFAULT_MAX_REMOVAL = 0.8
@@ -263,6 +263,7 @@ def _measure_all(items: list, study: tuple, workers: int) -> list[list[float]]:
     processes, or the builtin map in this process for one worker."""
     if workers == 1:
         return list(map(partial(_measure, study), items))
+    preload(study[2])
     with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=study) as pool:
         return list(pool.map(_measure_in_worker, items))
 

@@ -34,9 +34,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_array, csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
-from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from .graph import Graph, edge_ends
 
@@ -154,6 +151,10 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     is sorted or stored.  Every count is an integer of at most n**2, exact
     in float64.  delivered is the sum of C*(C - 1) over component sizes.
     """
+    # Only a route uses scipy, so commands that never route start without it.
+    from scipy.sparse import csr_array, csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
     m = g.m
     indptr, indices, slot_link = g.csr
     if keep is not None:
@@ -166,7 +167,7 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
         return FlowAssignment(link_load=np.zeros(m, dtype=np.int64), delivered=0, max_link_load=0)
 
     n = len(indptr) - 1
-    _, label = _csgraph_components(
+    _, label = connected_components(
         csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n)), directed=False)
     sizes = np.bincount(label)
     delivered = int((sizes * (sizes - 1)).sum())
@@ -317,6 +318,15 @@ def _peel(indptr: np.ndarray, indices: np.ndarray,
         up[leaves] = slot_link[slots]
         leaves = np.unique(nbr[deg[nbr] == 1])
     return weight, deg > 0, up
+
+
+def preload(mode: str) -> None:
+    """Import what measuring in mode calls on: scipy for a bottleneck
+    route, nothing for flow-ratio mode.  Called before a process pool
+    forks, it lets the workers share the parent's import instead of each
+    paying for its own."""
+    if mode == "bottleneck":
+        import scipy.sparse.csgraph  # noqa: F401
 
 
 def target_groups(targets: Sequence[int], mode: str = DEFAULT_MODE) -> list[tuple[int, ...]]:

@@ -97,6 +97,20 @@ def test_elasticity_from_file(tmp_path, capsys):
     assert (tmp_path / "p3_result.json").exists()
 
 
+@pytest.mark.parametrize("text", ["0 1\n1 2\n2 0\n2 3\n", "# triangle and a tail\n0 1\n1 2\n2 0\n2 3\n"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run(capsys, "metrics", "--input", str(marked)) == run(capsys, "metrics", "--input", str(plain))
+    # only a leading mark: one on a later line is still a bad id
+    marked.write_text(text.replace("1 2", "\ufeff1 2"), encoding="utf-8")
+    code, _, err = run(capsys, "metrics", "--input", str(marked))
+    line = 1 + text.splitlines().index("1 2")
+    assert code == 1 and f"error: line {line}: node ids must be nonnegative integers" in err
+
+
 def test_requires_exactly_one_source(capsys):
     with pytest.raises(SystemExit):
         main(["elasticity", "--generate", "star:5", "--input", "x.txt"])

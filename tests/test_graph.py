@@ -1,3 +1,4 @@
+import io
 import random
 
 import networkx as nx
@@ -69,6 +70,120 @@ def test_load_first_appearance_relabeling():
     g = load_edge_list("10 20\n20 30\n5 10")
     assert g.labels == [10, 20, 30, 5]
     assert g.edges == [(0, 1), (0, 3), (1, 2)]
+
+
+def reference_load(source):
+    """The per-line parser load_edge_list replaced, canonicalizing with a
+    set: (n, edges, labels), or EdgeListParseError."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    appearance, seen, raw_pairs = [], set(), []
+    for line_no, raw in enumerate(lines, 1):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        tokens = text.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(line_no, f"expected two integer tokens, got {text!r}")
+        u, v = tokens
+        if not (u.isdigit() and v.isdigit() and u.isascii() and v.isascii()):
+            raise EdgeListParseError(line_no, f"node ids must be nonnegative integers, got {text!r}")
+        a, b = int(u), int(v)
+        for ext in (a, b):
+            if ext not in seen:
+                seen.add(ext)
+                appearance.append(ext)
+        if a != b:
+            raw_pairs.append((a, b))
+    n = len(appearance)
+    labels = None
+    if n and max(seen) != n - 1:
+        dense = {ext: i for i, ext in enumerate(appearance)}
+        raw_pairs = [(dense[a], dense[b]) for a, b in raw_pairs]
+        labels = appearance
+    return n, sorted({(min(a, b), max(a, b)) for a, b in raw_pairs}), labels
+
+
+def load_outcome(load, source):
+    try:
+        g = load(source)
+    except EdgeListParseError as exc:
+        return exc.line_no, str(exc)
+    return g if isinstance(g, tuple) else (g.n, g.edges, g.labels)
+
+
+# The characters where a str and a text file's lines part ways.
+# str.splitlines ends a line at "\r\n", "\r", "\n" and the first four of
+# _SPACES; a text file (universal newlines) only at the first three, and
+# reads all of _SPACES as whitespace.  "+", "-", "_" and the Arabic-Indic
+# three are what int() would accept in an id, and ids from 2**63 up do not
+# fit an int64.
+_SPACES = ["\x0b", "\x0c", "\x1c", "\x85", "\x1f", "\xa0"]
+_BREAKS = ["\r\n", "\r", "\n"] + _SPACES[:4]
+_ODD = _BREAKS + _SPACES[4:] + [" ", "#", "+", "-", "_", "\u0663"]
+_ids = st.one_of(st.integers(0, 7), st.integers(2**63, 2**63 + 2)).map(str)
+_space = st.lists(st.sampled_from([" "] * 20 + _SPACES), max_size=2).map("".join)
+_pair_line = st.builds(lambda a, u, b, v, c: a + u + b + v + c,
+                       _space, _ids, _space.filter(bool), _ids, _space)
+_odd = st.sampled_from(_ODD)
+# mostly well-formed lines, so that most texts parse (one_of would fold
+# repeated branches into one, hence the weighted pick)
+_line = st.sampled_from([0] * 12 + [1, 2, 3, 4, 5, 5]).flatmap(lambda k: [
+    _pair_line, _space.map(lambda a: a + "# x"), _ids, _odd,
+    st.tuples(_pair_line, _odd).map("".join),
+    st.tuples(_ids, _odd, _space.filter(bool), _ids).map("".join)][k])
+_line_end = st.sampled_from(["\n"] * 6 + _BREAKS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pieces=st.lists(st.tuples(_line, _line_end), max_size=12),
+       as_file=st.booleans())
+@example(pieces=[("# c", "\n"), (" 3 \xa05", "\r\n"), ("5 9", "\x85")], as_file=True)
+@example(pieces=[("0 1", "\n"), ("1_0 2", "\n")], as_file=False)
+@example(pieces=[(str(2**63), "\n"), (f"1 {2**64}", "\n")], as_file=False)
+def test_load_matches_the_per_line_reference(pieces, as_file):
+    # the bulk loader gives the per-line parser's graph, or its error line
+    # and message, both on a str and on a text file's lines
+    text = "".join(line + end for line, end in pieces)
+
+    def source():
+        return io.StringIO(text, newline=None) if as_file else text
+
+    assert load_outcome(load_edge_list, source()) == load_outcome(reference_load, source())
+
+
+def test_load_huge_sparse_ids_keep_their_labels():
+    big = 2**64 + 7
+    g = load_edge_list(f"{big} 3\n3 {2**63}\n")
+    assert (g.n, g.edges, g.labels) == (3, [(0, 1), (1, 2)], [big, 3, 2**63])
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1), (2**63, 0)], "edge (9223372036854775808, 0) out of range for n=3"),
+    ([(0, 1), (1, -1), (2**64, 0)], "edge (1, -1) out of range for n=3"),
+    ([(0, 3), (-2**70, 1)], "edge (0, 3) out of range for n=3"),
+    ([(1, 2), (0, -2**70)], "edge (0, -1180591620717411303424) out of range for n=3"),
+    (np.array([[0, 1], [2, 5], [7, 0]]), "edge (2, 5) out of range for n=3"),
+])
+def test_make_graph_names_the_first_pair_out_of_range(pairs, message):
+    with pytest.raises(ValueError) as exc:
+        make_graph(3, pairs)
+    assert str(exc.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 6), pairs=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)),
+                                          max_size=12))
+def test_make_graph_canonicalizes_like_a_set(n, pairs):
+    bad = [p for p in pairs if not (0 <= p[0] < n and 0 <= p[1] < n)]
+    if bad:
+        with pytest.raises(ValueError, match=rf"^edge \({bad[0][0]}, {bad[0][1]}\) out of range"):
+            make_graph(n, pairs)
+        return
+    expected = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    for given_pairs in (pairs, iter(pairs), np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+        g = make_graph(n, given_pairs)
+        assert (g.n, g.edges) == (n, expected)
+        assert all(type(x) is int for e in g.edges for x in e)
 
 
 def test_components():

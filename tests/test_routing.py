@@ -365,14 +365,16 @@ def test_route_memory_is_bounded_by_block_cells():
 def test_route_refuses_a_search_order_out_of_range(monkeypatch):
     # The gathers take no bounds check (np.take in "clip" mode would read
     # node -1 as node 0), so the route range checks its own index arrays.
-    import netelast.routing as routing
+    # The route imports breadth_first_order when it runs, so it is patched
+    # in scipy's csgraph module.
+    import scipy.sparse.csgraph as csgraph
 
     def corrupted(graph, t, return_predecessors):
         order, pred = breadth_first_order(graph, t, return_predecessors=return_predecessors)
         order[-1] = -1
         return order, pred
 
-    monkeypatch.setattr(routing, "breadth_first_order", corrupted)
+    monkeypatch.setattr(csgraph, "breadth_first_order", corrupted)
     with pytest.raises(IndexError, match="route index out of range"):
         route_all_pairs(cycle_graph(6))
 
