@@ -4,13 +4,8 @@ A sweep removes the planned entities in equal batches and records one
 (fraction_remaining, normalized throughput) point per batch.  It runs in
 three steps: prepare (validate, fix the batch targets and each link's
 removal rank), measure (routing's masked_throughputs of the intact graph and
-every sample), finish (normalize and clamp into a curve).  A multi-trial
-study plans every trial here; its trials share one target list and differ
-only in their link ranks.  It measures the pieces of work routing names,
-one (trial, group of targets) item each, through one map: the builtin one,
-or a process pool's whose workers receive the intact graph and the ranks
-once.  Its mean curve and result are the first trial's curve and the mean
-curve's elasticity with the averaged fields replaced.  Elasticity is the
+every sample), finish (normalize and clamp into a curve);
+averaged_elasticity runs a multi-trial study.  Elasticity is the
 trapezoid area under the curve on a percent axis, divided by the maximal
 possible area 100 * max_removal_fraction, so a curve pinned at 1 over the
 full sweep scores exactly 1.
@@ -27,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .attacks import AttackPlan, plan_random_links, plan_random_nodes, plan_targeted_degree
-from .graph import Graph, edge_ends
+from .graph import Graph
 from .routing import DEFAULT_MODE, MODES, masked_throughputs, preload, target_groups
 
 DEFAULT_STEPS = 80
@@ -115,8 +110,7 @@ def _link_ranks(g: Graph, plan: AttackPlan, count: int) -> np.ndarray:
     rank = np.full(size, count, dtype=np.int64)
     np.minimum.at(rank, np.asarray(slots, dtype=np.int64), np.arange(len(slots)))
     if plan.kind == "node":
-        ends = edge_ends(g)
-        rank = np.minimum(rank[ends[0::2]], rank[ends[1::2]])
+        rank = rank[g.ends.reshape(-1, 2)].min(axis=1)
     return rank
 
 
@@ -288,7 +282,8 @@ def averaged_elasticity(
     is validated and its targets grouped (routing's target_groups) once;
     only the link ranks are per trial.  The work items, one per (trial,
     group of targets), then run in min(jobs, items) processes, those that
-    keep the most links first, as they take longest.  The intact graph
+    keep the most links first, as they take longest; a pool's workers
+    receive the intact graph and the ranks once.  The intact graph
     measured alone (a bottleneck study's target 0) is one item shared by
     all trials.  Returns the mean result (per-trial values and their sample
     standard deviation included), the pointwise-mean curve, and every
@@ -320,14 +315,10 @@ def averaged_elasticity(
         for k, plan in enumerate(plans)
     )
 
-    fractions = [f for f, _ in curves[0].samples]
-    for c in curves[1:]:
-        if [f for f, _ in c.samples] != fractions:
-            raise RuntimeError("trial curves fell out of alignment")
     mean_curve = replace(
         curves[0],
         samples=tuple((f, math.fsum(c.samples[i][1] for c in curves) / trials)
-                      for i, f in enumerate(fractions)),
+                      for i, (f, _) in enumerate(curves[0].samples)),
         clamp_events=sum(c.clamp_events for c in curves),
         seed=seed,
     )

@@ -51,30 +51,37 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The graph's neighbor structure, built on first use: CSR adjacency
-        (indptr, indices) over all n nodes and each slot's link id.
-
-        Stable-sorting the flattened canonical edge list by endpoint lists
-        each node's links in canonical order, which is ascending neighbor
-        order (all lower neighbors precede all upper ones), i.e. exactly the
-        sorted adjacency.  Entry 2e or 2e+1 of the flattened list belongs to
-        link e, so the sort permutation itself is the slot->link map.  Every
-        reader relies on that, so a non-canonical list is refused here.
-        """
-        ends = edge_ends(self)
+    def ends(self) -> np.ndarray:
+        """The edge list as read-only int64 [u0, v0, u1, v1, ...], built on
+        first use.  Every numeric reader of the links reads it and relies on
+        the list being canonical, so a list that is not is refused here."""
+        ends = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * self.m)
         u, v = ends[0::2], ends[1::2]
         if self.m and not (u.min() >= 0 and v.max() < self.n and (u < v).all()
                            and (np.diff(u * self.n + v) > 0).all()):
             raise ValueError("edges must be canonical: ids in 0..n-1, u < v on "
                              "each link, links strictly ascending")
-        order = np.argsort(ends, kind="stable")
+        ends.flags.writeable = False
+        return ends
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The graph's neighbor structure, built on first use: CSR adjacency
+        (indptr, indices) over all n nodes and each slot's link id.
+
+        Stable-sorting ends lists each node's links in canonical order,
+        which is ascending neighbor order (all lower neighbors precede all
+        upper ones), i.e. exactly the sorted adjacency.  Entry 2e or 2e+1
+        of ends belongs to link e, so the sort permutation itself is the
+        slot->link map.
+        """
+        order = np.argsort(self.ends, kind="stable")
         indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=self.n), out=indptr[1:])
-        return indptr, ends[order ^ 1], order // 2
+        np.cumsum(np.bincount(self.ends, minlength=self.n), out=indptr[1:])
+        return indptr, self.ends[order ^ 1], order // 2
 
     def degrees(self) -> list[int]:
-        return np.diff(self.csr[0]).tolist()
+        return np.bincount(self.ends, minlength=self.n).tolist()
 
 
 @dataclass(frozen=True)
@@ -96,13 +103,18 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray,
 
     The one canonicalizer of links: self-loops are dropped, and each link
     is keyed u*n + v with u < v, so sorting the keys and dropping repeats
-    dedupes the links and lists them canonically.  Node ids outside 0..n-1
-    are an error, which names the first such pair in input order.
+    dedupes the links and lists them canonically.  Node ids that are not
+    integers, or lie outside 0..n-1, are an error, which names the first
+    such pair in input order.
     """
     if n < 0:
         raise ValueError("node count must be nonnegative")
-    if not isinstance(pairs, np.ndarray):
-        pairs = list(pairs)
+    if not (isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu"):
+        pairs = pairs.tolist() if isinstance(pairs, np.ndarray) else list(pairs)
+        if not set(map(type, chain.from_iterable(pairs))) <= {int}:
+            for u, v in pairs:
+                if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))):
+                    raise ValueError(f"edge ({u!r}, {v!r}) has a node id that is not an integer")
     try:
         ends = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
         bad = np.flatnonzero(((ends < 0) | (ends >= n)).any(axis=1))[:1].tolist()
@@ -162,21 +174,22 @@ def dump_edge_list(g: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.edges)
 
 
-def edge_ends(g: Graph) -> np.ndarray:
-    """The canonical edge list flattened to int64 [u0, v0, u1, v1, ...]."""
-    return np.fromiter(chain.from_iterable(g.edges), np.int64, 2 * g.m)
-
-
 def connected_components(g: Graph) -> ComponentLabeling:
     """Label connected components; ids assigned in scan order of node 0..n-1."""
-    from scipy.sparse import coo_matrix
+    component_id, sizes = _label_components(*g.csr[:2])
+    return ComponentLabeling(component_id=component_id.tolist(), component_sizes=sizes.tolist())
+
+
+def _label_components(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component ids, in scan order of nodes 0..n-1, and component sizes of
+    the symmetric CSR graph (indptr, indices)."""
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components as _csgraph_components
 
-    ends = edge_ends(g)
-    adj = coo_matrix((np.ones(g.m), (ends[0::2], ends[1::2])), shape=(g.n, g.n))
+    n = len(indptr) - 1
+    adj = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     count, component_id = _csgraph_components(adj, directed=False)
-    sizes = np.bincount(component_id, minlength=count)
-    return ComponentLabeling(component_id=component_id.tolist(), component_sizes=sizes.tolist())
+    return component_id, np.bincount(component_id, minlength=count)
 
 
 def remove_nodes(g: Graph, victims: Iterable[int]) -> tuple[Graph, list[int]]:

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, edge_ends
+from .graph import Graph, _label_components
 
 #: Normalization modes for throughput relative to the intact baseline:
 #: "bottleneck" re-derives the bottleneck rate on the degraded graph
@@ -82,7 +82,7 @@ def _pair_counts(g: Graph, rank: np.ndarray, targets: Sequence[int]) -> list[int
     largest down, is the sum of s*(s-1) over the masked graph's components.
     """
     order = np.argsort(-rank, kind="stable")
-    links = edge_ends(g).reshape(-1, 2)[order].tolist()
+    links = g.ends.reshape(-1, 2)[order].tolist()
     ranks = rank[order].tolist()
     root = list(range(g.n))
     size = [1] * g.n
@@ -153,9 +153,9 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     """
     # Only a route uses scipy, so commands that never route start without it.
     from scipy.sparse import csr_array, csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
+    from scipy.sparse.csgraph import breadth_first_order
 
-    m = g.m
+    m, n = g.m, g.n
     indptr, indices, slot_link = g.csr
     if keep is not None:
         keep = np.asarray(keep)
@@ -166,10 +166,7 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     if not len(indices):
         return FlowAssignment(link_load=np.zeros(m, dtype=np.int64), delivered=0, max_link_load=0)
 
-    n = len(indptr) - 1
-    _, label = connected_components(
-        csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n)), directed=False)
-    sizes = np.bincount(label)
+    label, sizes = _label_components(indptr, indices)
     delivered = int((sizes * (sizes - 1)).sum())
     weight, core, up = _peel(indptr, indices, slot_link)
     peeled = up >= 0
@@ -352,11 +349,10 @@ def masked_throughputs(
     exactly as int/int) from one reverse union-find pass over all targets,
     without routing.  Only routing branches on mode: here, for what a
     mode measures, and in target_groups, for which targets are measured
-    together.  Both modes refuse a non-canonical edge list, as g.csr does.
+    together.  Both modes refuse a non-canonical edge list, as g.ends does.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
-    g.csr  # the union-find reads g.edges alone, so it would not check them
     if mode == "flow-ratio":
         return _pair_counts(g, rank, targets)
     values = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, edge_ends
+from .graph import Graph
 
 DEFAULT_SIZE_GUARD = 4000
 
@@ -41,7 +41,7 @@ def laplacian(g: Graph, size_guard: int = DEFAULT_SIZE_GUARD) -> np.ndarray:
             f"pass a larger size_guard to accept the n^2 x 8-byte matrix"
         )
     lap = np.diag(np.array(g.degrees(), dtype=np.float64))
-    ends = edge_ends(g)
+    ends = g.ends
     lap[ends[0::2], ends[1::2]] = lap[ends[1::2], ends[0::2]] = -1.0
     return lap
 

@@ -27,6 +27,7 @@ from netelast import (
     throughput,
     wheel_graph,
 )
+from netelast.routing import delivered_flow_count
 
 
 def test_load_path_graph():
@@ -165,6 +166,18 @@ def test_load_huge_sparse_ids_keep_their_labels():
     (np.array([[0, 1], [2, 5], [7, 0]]), "edge (2, 5) out of range for n=3"),
 ])
 def test_make_graph_names_the_first_pair_out_of_range(pairs, message):
+    with pytest.raises(ValueError) as exc:
+        make_graph(3, pairs)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1), (1.9, 2), ("0", 2)], "edge (1.9, 2) has a node id that is not an integer"),
+    ([(0, 1), (2, 2.0)], "edge (2, 2.0) has a node id that is not an integer"),
+    ([("1", "2")], "edge ('1', '2') has a node id that is not an integer"),
+    (np.array([[0.0, 1.0], [1.5, 2.0]]), "edge (0.0, 1.0) has a node id that is not an integer"),
+])
+def test_make_graph_names_the_first_pair_with_an_id_that_is_not_an_integer(pairs, message):
     with pytest.raises(ValueError) as exc:
         make_graph(3, pairs)
     assert str(exc.value) == message
@@ -333,13 +346,21 @@ def test_csr_rows_slot_links_and_degrees(g):
     [(0, 2), (0, 1)],  # links out of order
 ], ids=["duplicate", "self-loop", "out-of-range", "descending"])
 def test_non_canonical_edge_list_is_refused(edges):
-    # Routing, the degree planner, degrees() and the Laplacian all read the
-    # CSR, so each refuses the list with the same message; flow-ratio mode,
-    # whose union-find reads the edges alone, reads the CSR to check them.
-    readers = [lambda g: g.csr, Graph.degrees, route_all_pairs, laplacian,
+    # Every reader of the links as numbers reads g.ends, which refuses the
+    # list with one message.
+    readers = [lambda g: g.ends, lambda g: g.csr, Graph.degrees, route_all_pairs, laplacian,
+               connected_components, delivered_flow_count,
                lambda g: plan_targeted_degree(g, g.n),
                lambda g: throughput(g, "flow-ratio"),
                lambda g: averaged_elasticity(g, "random-link", trials=2, mode="flow-ratio")]
     for read in readers:
         with pytest.raises(ValueError, match="edges must be canonical"):
             read(Graph(3, edges))
+
+
+def test_ends_are_built_once_and_read_only():
+    g = make_graph(3, [(0, 1), (1, 2)])
+    assert g.ends is g.ends
+    assert g.ends.tolist() == [0, 1, 1, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        g.ends[0] = 2

@@ -29,7 +29,6 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from netelast import grid_graph, plan_targeted_degree, route_all_pairs, scale_free_ba  # noqa: E402
-from netelast.graph import edge_ends  # noqa: E402
 
 SIZES = (1024, 2048, 4096, 8192)
 GRID_SIDES = {1024: (32, 32), 2048: (32, 64), 4096: (64, 64), 8192: (64, 128)}
@@ -45,7 +44,7 @@ def degree_attack_keep(g, fraction: float) -> np.ndarray:
     the nodes, rounded half up as a sweep rounds its batch targets."""
     gone = np.zeros(g.n, dtype=bool)
     gone[list(plan_targeted_degree(g, int(fraction * g.n + 0.5)).order)] = True
-    return ~gone[edge_ends(g).reshape(-1, 2)].any(axis=1)
+    return ~gone[g.ends.reshape(-1, 2)].any(axis=1)
 
 
 def measure(g, keep: np.ndarray | None = None) -> tuple[float, int, float]:
