@@ -5,7 +5,8 @@ A sweep removes the planned entities in equal batches and records one
 three steps: prepare (validate, fix the batch targets and each link's
 removal rank), measure (routing's masked_throughputs of the intact graph and
 every sample), finish (normalize and clamp into a curve);
-averaged_elasticity runs a multi-trial study.  Elasticity is the
+averaged_elasticity runs a multi-trial study, whose trials one
+masked_throughputs call measures.  Elasticity is the
 trapezoid area under the curve on a percent axis, divided by the maximal
 possible area 100 * max_removal_fraction, so a curve pinned at 1 over the
 full sweep scores exactly 1.
@@ -14,16 +15,14 @@ full sweep scores exactly 1.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .attacks import AttackPlan, plan_random_links, plan_random_nodes, plan_targeted_degree
-from .graph import Graph
-from .routing import DEFAULT_MODE, MODES, masked_throughputs, preload, target_groups
+from .graph import Graph, _check_node_ids
+from .routing import DEFAULT_MODE, MODES, masked_throughputs
 
 DEFAULT_STEPS = 80
 DEFAULT_MAX_REMOVAL = 0.8
@@ -96,9 +95,7 @@ def _link_ranks(g: Graph, plan: AttackPlan, count: int) -> np.ndarray:
     """
     prefix = plan.order[:count]
     if plan.kind == "node":
-        bad = [v for v in prefix if not 0 <= v < g.n]
-        if bad:
-            raise ValueError(f"victim id {bad[0]} out of range for n={g.n}")
+        _check_node_ids(g, prefix)
         slots, size = prefix, g.n
     else:
         link_id = {e: i for i, e in enumerate(g.edges)}
@@ -159,7 +156,7 @@ def sweep(
     """
     total, targets = _sweep_targets(g, plan, max_removal_fraction, steps, mode)
     if throughputs is None:
-        throughputs = masked_throughputs(g, _link_ranks(g, plan, targets[-1]), targets, mode)
+        throughputs = masked_throughputs(g, [_link_ranks(g, plan, targets[-1])], targets, mode)[0]
     elif len(throughputs) != len(targets):
         raise ValueError(f"sweep measures {len(targets)} targets, "
                          f"got {len(throughputs)} throughputs")
@@ -232,36 +229,6 @@ def _plan(g: Graph, strategy: str, recompute: bool, seed: int) -> AttackPlan:
     raise ValueError(f"unknown attack strategy {strategy!r}")
 
 
-def _measure(study: tuple, item: tuple[int, tuple[int, ...]]) -> list[float]:
-    g, ranks, mode = study
-    trial, targets = item
-    return masked_throughputs(g, ranks[trial], targets, mode)
-
-
-# The (intact graph, per-trial link ranks, mode) of a pool worker's study,
-# set once per worker by the pool's initializer.
-_worker_study: tuple = ()
-
-
-def _init_worker(*study) -> None:
-    global _worker_study
-    _worker_study = study
-
-
-def _measure_in_worker(item: tuple[int, tuple[int, ...]]) -> list[float]:
-    return _measure(_worker_study, item)
-
-
-def _measure_all(items: list, study: tuple, workers: int) -> list[list[float]]:
-    """Every item's values, in item order: one pool's map over `workers`
-    processes, or the builtin map in this process for one worker."""
-    if workers == 1:
-        return list(map(partial(_measure, study), items))
-    preload(study[2])
-    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=study) as pool:
-        return list(pool.map(_measure_in_worker, items))
-
-
 def averaged_elasticity(
     g: Graph,
     strategy: str,
@@ -277,43 +244,25 @@ def averaged_elasticity(
     """Average elasticity over seeded trials of a (possibly stochastic) attack.
 
     Trial k uses seed + k; the targeted strategy is deterministic, so it is
-    forced to a single trial.  Every trial is planned here.  All trials
-    sweep the same entity kind and total in the same batches, so the sweep
-    is validated and its targets grouped (routing's target_groups) once;
-    only the link ranks are per trial.  The work items, one per (trial,
-    group of targets), then run in min(jobs, items) processes, those that
-    keep the most links first, as they take longest; a pool's workers
-    receive the intact graph and the ranks once.  The intact graph
-    measured alone (a bottleneck study's target 0) is one item shared by
-    all trials.  Returns the mean result (per-trial values and their sample
-    standard deviation included), the pointwise-mean curve, and every
-    per-trial curve.  Curves are rebuilt and aggregated in fixed trial and
-    sample order, so worker count never changes the outcome.
+    forced to a single trial.  All trials sweep the same entity kind and
+    total in the same batches, so the sweep is validated and its targets
+    fixed once; only the link ranks are per trial.  One masked_throughputs
+    call measures every trial, in min(jobs, work items) processes.  Returns
+    the mean result (per-trial values and their sample standard deviation
+    included), the pointwise-mean curve, and every per-trial curve, built
+    in fixed trial and sample order, so worker count never changes the
+    outcome.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     if strategy == "degree":
         trials = 1
     plans = [_plan(g, strategy, recompute, s) for s in range(seed, seed + trials)]
     targets = _sweep_targets(g, plans[0], max_removal_fraction, steps, mode)[1]
-    groups = target_groups(targets, mode)
     ranks = [_link_ranks(g, p, targets[-1]) for p in plans]
-
-    def item(k: int, group: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        # Target 0 keeps every link whatever the ranks, so the intact graph
-        # measured alone is one item, trial 0's, shared by every trial.
-        return (0, group) if group == (0,) else (k, group)
-
-    items = sorted({item(k, group) for k in range(trials) for group in groups},
-                   key=lambda it: (it[1][0], it[0]))
-    measured = dict(zip(items, _measure_all(items, (g, ranks, mode), min(jobs, len(items)))))
-    curves = tuple(
-        sweep(g, plan, max_removal_fraction, steps, mode,
-              throughputs=[v for group in groups for v in measured[item(k, group)]])
-        for k, plan in enumerate(plans)
-    )
+    measured = masked_throughputs(g, ranks, targets, mode, jobs)
+    curves = tuple(sweep(g, plan, max_removal_fraction, steps, mode, throughputs=values)
+                   for plan, values in zip(plans, measured))
 
     mean_curve = replace(
         curves[0],

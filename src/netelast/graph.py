@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -192,6 +192,18 @@ def _label_components(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarr
     return component_id, np.bincount(component_id, minlength=count)
 
 
+def _check_node_ids(g: Graph, ids: Collection) -> None:
+    """Refuse an id that is not an integer, then one outside 0..g.n-1,
+    naming the first such id."""
+    if not set(map(type, ids)) <= {int}:  # a type pass costs half an isinstance loop
+        for v in ids:
+            if not isinstance(v, (int, np.integer)):
+                raise ValueError(f"victim id {v!r} is not an integer")
+    for v in ids:
+        if not 0 <= v < g.n:
+            raise ValueError(f"victim id {v} out of range for n={g.n}")
+
+
 def remove_nodes(g: Graph, victims: Iterable[int]) -> tuple[Graph, list[int]]:
     """Return a new re-densified Graph without the victim nodes.
 
@@ -199,9 +211,7 @@ def remove_nodes(g: Graph, victims: Iterable[int]) -> tuple[Graph, list[int]]:
     (survivors in ascending order).  The input graph is left untouched.
     """
     victim_set = set(victims)
-    for v in victim_set:
-        if not (0 <= v < g.n):
-            raise ValueError(f"victim id {v} out of range for n={g.n}")
+    _check_node_ids(g, victim_set)
     survivors = [v for v in range(g.n) if v not in victim_set]
     new_id = {old: i for i, old in enumerate(survivors)}
     # The relabel keeps id order, so the kept links stay canonical.

@@ -23,13 +23,14 @@ keeping the links whose removal rank reaches a target (masked_throughputs).
 Bottleneck mode routes every sample from scratch, cut from the intact graph's
 CSR by a link mask.  Flow-ratio mode needs only deliverable pair counts, and
 those come from one reverse union-find pass per sweep that adds the links
-back in descending rank.  So routing also says which targets of a sweep are
-measured together (target_groups): a whole flow-ratio sweep, or one
-bottleneck sample.
+back in descending rank.  So routing also cuts a study's trials into work
+items, a whole flow-ratio sweep or one bottleneck sample, and runs them,
+in a process pool when asked.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -230,7 +231,7 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
                 break
             bounds.append(end)
         lo, hi = np.array(bounds[1:-1]), np.array(bounds[2:])
-        by_level = _level_order(lo.ravel(), (hi - lo).ravel(), level_buf)
+        by_level = _runs(lo.ravel(), (hi - lo).ravel(), level_buf)
 
         # take buffers its out array unless its mode is "clip" or "wrap",
         # and those never raise, so the indices are range checked here.
@@ -257,7 +258,7 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     return FlowAssignment(link_load=link_load, delivered=delivered, max_link_load=int(link_load.max()))
 
 
-def _level_order(lo: np.ndarray, lens: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _runs(lo: np.ndarray, lens: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The runs lo[i], lo[i] + 1, ..., lo[i] + lens[i] - 1 one after the
     other, written into the front of out and returned as that slice.
 
@@ -303,7 +304,7 @@ def _peel(indptr: np.ndarray, indices: np.ndarray,
     while len(leaves):
         # each leaf's row holds exactly one slot to a node not yet peeled
         first, lens = indptr[leaves], indptr[leaves + 1] - indptr[leaves]
-        slots = np.repeat(first - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        slots = _runs(first, lens, np.empty(lens.sum(), dtype=np.int64))
         slots = slots[deg[indices[slots]] > 0]
         nbr = indices[slots]
         # of two leaves joined to each other, only the higher id is peeled
@@ -317,54 +318,77 @@ def _peel(indptr: np.ndarray, indices: np.ndarray,
     return weight, deg > 0, up
 
 
-def preload(mode: str) -> None:
-    """Import what measuring in mode calls on: scipy for a bottleneck
-    route, nothing for flow-ratio mode.  Called before a process pool
-    forks, it lets the workers share the parent's import instead of each
-    paying for its own."""
-    if mode == "bottleneck":
-        import scipy.sparse.csgraph  # noqa: F401
+# The (graph, ranks, mode) a pool worker measures, set once per worker by
+# the pool's initializer, so the graph and the ranks reach each worker once.
+_worker_study: tuple = ()
 
 
-def target_groups(targets: Sequence[int], mode: str = DEFAULT_MODE) -> list[tuple[int, ...]]:
-    """targets split into the groups that masked_throughputs measures as one
-    piece of work: one union-find pass serves a whole flow-ratio sweep,
-    while every bottleneck sample is a route of its own."""
-    if mode not in MODES:
-        raise ValueError(f"unknown throughput mode {mode!r}")
+def _init_worker(*study) -> None:
+    global _worker_study
+    _worker_study = study
+
+
+def _measure(item: tuple[int, tuple[int, ...]], study: tuple = ()) -> list[float]:
+    """One work item's values: its trial's masked graph at each of its
+    targets, in the study given or else in the worker's."""
+    g, ranks, mode = study or _worker_study
+    trial, group = item
     if mode == "flow-ratio":
-        return [tuple(targets)]
-    return [(t,) for t in targets]
+        return _pair_counts(g, ranks[trial], group)
+    fa = route_all_pairs(g, ranks[trial] >= group[0])
+    return [fa.delivered / fa.max_link_load if fa.max_link_load else 0.0]
 
 
 def masked_throughputs(
-    g: Graph, rank: np.ndarray, targets: Sequence[int], mode: str = DEFAULT_MODE
-) -> list[float]:
-    """Throughput of g masked to the links with rank >= t, one value per target t.
+    g: Graph, ranks: Sequence[np.ndarray], targets: Sequence[int],
+    mode: str = DEFAULT_MODE, jobs: int = 1,
+) -> list[list[float]]:
+    """Throughput of g masked to the links with rank >= t: for each trial's
+    rank array in ranks (aligned with g.edges, nonnegative), its values at
+    the targets t, in target order.
 
-    rank is aligned with g.edges; removed nodes stay as isolated nodes.
-    bottleneck mode routes each masked sample and returns deliverable pairs
-    over the bottleneck load, 0.0 when nothing routes.  flow-ratio mode
-    returns deliverable pair counts (ints, so ratios of counts divide
-    exactly as int/int) from one reverse union-find pass over all targets,
-    without routing.  Only routing branches on mode: here, for what a
-    mode measures, and in target_groups, for which targets are measured
-    together.  Both modes refuse a non-canonical edge list, as g.ends does.
+    Removed nodes stay as isolated nodes.  bottleneck mode routes each
+    masked sample and returns deliverable pairs over the bottleneck load,
+    0.0 when nothing routes.  flow-ratio mode returns deliverable pair
+    counts (ints, so ratios of counts divide exactly as int/int) from one
+    reverse union-find pass per trial, without routing.  Both modes refuse
+    a non-canonical edge list, as g.ends does.
+
+    A work item is one bottleneck sample or one flow-ratio trial.  Target 0
+    keeps every link, so the intact route is one item shared by all trials.
+    Items run largest first in min(jobs, items) processes; a pool's workers
+    get g and the ranks once, and fork after scipy is imported.  jobs never
+    changes the values.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
-    if mode == "flow-ratio":
-        return _pair_counts(g, rank, targets)
-    values = []
-    for t in targets:
-        fa = route_all_pairs(g, rank >= t)
-        values.append(fa.delivered / fa.max_link_load if fa.max_link_load else 0.0)
-    return values
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if any(np.min(rank, initial=0) < 0 for rank in ranks):
+        raise ValueError("ranks must be nonnegative")
+    groups = [tuple(targets)] if mode == "flow-ratio" else [(t,) for t in targets]
+
+    def item(k: int, group: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        return (0, group) if group == (0,) else (k, group)
+
+    items = sorted({item(k, group) for k in range(len(ranks)) for group in groups},
+                   key=lambda it: (it[1][0], it[0]))
+    study = (g, ranks, mode)
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        values = [_measure(it, study) for it in items]
+    else:
+        if mode == "bottleneck":  # the workers share this import
+            import scipy.sparse.csgraph  # noqa: F401
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=study) as pool:
+            values = list(pool.map(_measure, items))
+    measured = dict(zip(items, values))
+    return [[v for group in groups for v in measured[item(k, group)]] for k in range(len(ranks))]
 
 
 def throughput(g: Graph, mode: str = DEFAULT_MODE) -> float:
     """Throughput of g as mode measures it: the one-target masked_throughputs."""
-    return masked_throughputs(g, np.zeros(g.m, dtype=np.int64), [0], mode)[0]
+    return masked_throughputs(g, [np.zeros(g.m, dtype=np.int64)], [0], mode)[0][0]
 
 
 def normalized_throughput(g_current: Graph, baseline: float, mode: str = DEFAULT_MODE) -> float:

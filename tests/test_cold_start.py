@@ -44,17 +44,17 @@ def test_a_bottleneck_pool_starts_after_scipy_is_imported(tmp_path):
     # them imports its own; a flow-ratio pool imports none at all
     seen = fresh("""
 import json
-import netelast.engine as engine
+import netelast.routing as routing
 from netelast import averaged_elasticity, grid_graph
 
 pools = []
 
-class Recorded(engine.ProcessPoolExecutor):
+class Recorded(routing.ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
         pools.append("scipy.sparse.csgraph" in sys.modules)
         super().__init__(*args, **kwargs)
 
-engine.ProcessPoolExecutor = Recorded
+routing.ProcessPoolExecutor = Recorded
 g = grid_graph(4, 4)
 averaged_elasticity(g, "random-link", trials=3, steps=4, mode="flow-ratio", jobs=2)
 averaged_elasticity(g, "degree", steps=4, jobs=2)

@@ -85,8 +85,8 @@ def test_sweep_parameter_validation():
     with pytest.raises(ValueError):
         sweep(s5, plan, 0.8, 4, "fastest")
     # bad entries inside the removed prefix fail like remove_nodes/remove_links
-    for bad in (-1, 5):
-        with pytest.raises(ValueError):
+    for bad in (-1, 5, 1.5):
+        with pytest.raises(ValueError, match=f"victim id {bad}"):
             sweep(s5, AttackPlan(kind="node", strategy="degree", order=(bad, 0, 1, 2, 3)), 0.8, 4)
     absent = AttackPlan(kind="link", strategy="random-link", order=((1, 2), (0, 1), (0, 2), (0, 3)))
     with pytest.raises(ValueError):
@@ -324,7 +324,7 @@ def test_averaged_result_fields_are_exact(strategy, mode, trials):
     {"strategy": "degree", "mode": "fastest"},
 ])
 def test_invalid_study_fails_before_any_pool(study, monkeypatch):
-    import netelast.engine as engine
+    import netelast.routing as routing
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool started for an invalid study")
@@ -332,7 +332,7 @@ def test_invalid_study_fails_before_any_pool(study, monkeypatch):
     g = erdos_renyi(12, 0.3, seed=3)
     with pytest.raises(ValueError) as serial:
         averaged_elasticity(g, trials=3, **study)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(routing, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError) as parallel:
         averaged_elasticity(g, trials=3, jobs=2, **study)
     assert str(parallel.value) == str(serial.value)

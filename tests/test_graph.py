@@ -244,8 +244,9 @@ def test_remove_nodes_identity_and_errors():
     h, survivors = remove_nodes(g, set())
     assert h.edges == g.edges and h.n == g.n
     assert survivors == list(range(6))
-    with pytest.raises(ValueError):
-        remove_nodes(g, {6})
+    for bad in (6, 1.5):
+        with pytest.raises(ValueError, match=f"victim id {bad}"):
+            remove_nodes(g, {bad})
     assert g.m == 10  # original untouched
 
 

@@ -28,7 +28,7 @@ from netelast import (
     throughput,
     wheel_graph,
 )
-from netelast.routing import _level_order, delivered_flow_count, masked_throughputs
+from netelast.routing import MODES, _runs, delivered_flow_count, masked_throughputs
 
 from flow_oracle import brute_force_flows, total_path_length
 
@@ -309,7 +309,16 @@ def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         normalized_throughput(g, 1.5, "fastest")
     with pytest.raises(ValueError):
-        masked_throughputs(g, np.zeros(g.m, dtype=np.int64), [0], "fastest")
+        masked_throughputs(g, [np.zeros(g.m, dtype=np.int64)], [0], "fastest")
+
+
+def test_masked_throughputs_refuse_negative_ranks():
+    # target 0 is measured once for all trials, as it keeps every link of
+    # each; a negative rank would drop a link there
+    g = path_graph(3)
+    for mode in MODES:
+        with pytest.raises(ValueError, match="ranks must be nonnegative"):
+            masked_throughputs(g, [np.zeros(g.m, dtype=np.int64), np.array([0, -1])], [0, 1], mode)
 
 
 def test_link_load_is_integer_array():
@@ -384,14 +393,14 @@ def test_route_refuses_a_search_order_out_of_range(monkeypatch):
 @example(runs=[(1, 2), (3, 4)])  # a single root, two levels
 @example(runs=[(1, 2), (7, 1), (3, 3), (8, 0)])  # two roots, unequal depth
 @example(runs=[(5, 0), (9, 0), (5, 0), (9, 0)])  # every run empty
-def test_level_order_equals_the_repeat_reference(runs):
+def test_runs_equal_the_repeat_reference(runs):
     # runs is a level table raveled as the route ravels it, level by level
     # and within a level root by root: each run's first position and length
     lo = np.array([start for start, _ in runs], dtype=np.int64)
     lens = np.array([length for _, length in runs], dtype=np.int64)
     reference = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
     out = np.full(lens.sum() + 3, -7, dtype=np.int64)
-    order = _level_order(lo, lens, out)
+    order = _runs(lo, lens, out)
     assert order.tolist() == reference.tolist()
     assert order.base is out
     assert out[len(order):].tolist() == [-7] * 3
@@ -399,47 +408,52 @@ def test_level_order_equals_the_repeat_reference(runs):
 
 @st.composite
 def ranked_graphs(draw):
-    """A graph with isolated nodes likely, a rank per link and sorted targets
-    that include 0 (every link kept) and one above every rank (none kept)."""
+    """A graph with isolated nodes likely, one to three rank arrays over its
+    links (one per trial) and sorted targets that include 0 (every link
+    kept) and one above every rank (none kept)."""
     n = draw(st.integers(0, 14))
     node = st.integers(0, max(n - 1, 0))
     g = make_graph(n, draw(st.lists(st.tuples(node, node), max_size=25)) if n else [])
-    rank = draw(st.lists(st.integers(0, 8), min_size=g.m, max_size=g.m))
+    rank = st.lists(st.integers(0, 8), min_size=g.m, max_size=g.m)
+    ranks = [np.array(r, dtype=np.int64) for r in draw(st.lists(rank, min_size=1, max_size=3))]
     targets = draw(st.lists(st.integers(0, 9), max_size=6))
-    return g, np.array(rank, dtype=np.int64), sorted([0, 9, *targets])
+    return g, ranks, sorted([0, 9, *targets])
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=ranked_graphs())
-@example(case=(make_graph(0, []), np.zeros(0, dtype=np.int64), [0, 0, 1]))
-@example(case=(make_graph(6, []), np.zeros(0, dtype=np.int64), [0, 1]))
+@example(case=(make_graph(0, []), [np.zeros(0, dtype=np.int64)], [0, 0, 1]))
+@example(case=(make_graph(6, []), [np.zeros(0, dtype=np.int64)] * 2, [0, 1]))
 def test_masked_throughputs_equal_each_masked_graph(case):
-    g, rank, targets = case
-    counts = masked_throughputs(g, rank, targets, "flow-ratio")
-    rates = masked_throughputs(g, rank, targets, "bottleneck")
-    assert len(counts) == len(rates) == len(targets)
-    for t, count, rate in zip(targets, counts, rates):
-        masked = make_graph(g.n, [e for e, r in zip(g.edges, rank) if r >= t])
-        assert type(count) is int
-        assert count == sum(s * (s - 1) for s in connected_components(masked).component_sizes)
-        assert rate == throughput(masked, "bottleneck")
-    assert counts[0] == delivered_flow_count(g) == route_all_pairs(g).delivered
+    g, ranks, targets = case
+    counts = masked_throughputs(g, ranks, targets, "flow-ratio")
+    rates = masked_throughputs(g, ranks, targets, "bottleneck")
+    assert len(counts) == len(rates) == len(ranks)
+    for rank, trial_counts, trial_rates in zip(ranks, counts, rates):
+        assert len(trial_counts) == len(trial_rates) == len(targets)
+        for t, count, rate in zip(targets, trial_counts, trial_rates):
+            masked = make_graph(g.n, [e for e, r in zip(g.edges, rank) if r >= t])
+            assert type(count) is int
+            assert count == sum(s * (s - 1) for s in connected_components(masked).component_sizes)
+            assert rate == throughput(masked, "bottleneck")
+        assert trial_counts[0] == delivered_flow_count(g) == route_all_pairs(g).delivered
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=ranked_graphs())
-@example(case=(make_graph(5, [(1, 3)]), np.zeros(1, dtype=np.int64), [0, 1]))
+@example(case=(make_graph(5, [(1, 3)]), [np.zeros(1, dtype=np.int64)], [0, 1]))
 def test_masked_route_equals_routing_the_rebuilt_graph(case):
     # the masked route cuts each sample from g's CSR; the reference builds it
-    g, rank, targets = case
-    rates = masked_throughputs(g, rank, targets, "bottleneck")
-    for t, rate in zip(targets, rates):
-        keep = rank >= t
-        fa = route_all_pairs(g, keep)
-        ref = route_all_pairs(Graph(g.n, [e for e, k in zip(g.edges, keep) if k]))
-        loads = np.zeros(g.m, dtype=np.int64)
-        loads[keep] = ref.link_load
-        assert fa.link_load.dtype == np.int64
-        assert fa.link_load.tolist() == loads.tolist()
-        assert (fa.delivered, fa.max_link_load) == (ref.delivered, ref.max_link_load)
-        assert rate == (ref.delivered / ref.max_link_load if ref.max_link_load else 0.0)
+    g, ranks, targets = case
+    rates = masked_throughputs(g, ranks, targets, "bottleneck")
+    for rank, trial_rates in zip(ranks, rates, strict=True):
+        for t, rate in zip(targets, trial_rates, strict=True):
+            keep = rank >= t
+            fa = route_all_pairs(g, keep)
+            ref = route_all_pairs(Graph(g.n, [e for e, k in zip(g.edges, keep) if k]))
+            loads = np.zeros(g.m, dtype=np.int64)
+            loads[keep] = ref.link_load
+            assert fa.link_load.dtype == np.int64
+            assert fa.link_load.tolist() == loads.tolist()
+            assert (fa.delivered, fa.max_link_load) == (ref.delivered, ref.max_link_load)
+            assert rate == (ref.delivered / ref.max_link_load if ref.max_link_load else 0.0)
