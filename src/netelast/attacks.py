@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -26,6 +27,11 @@ class AttackPlan:
     seed: int | None = None
 
 
+def _check_count(count: int, total: int) -> None:
+    if not (isinstance(count, numbers.Integral) and 0 <= count <= total):
+        raise ValueError(f"count must lie in 0..{total}")
+
+
 def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> AttackPlan:
     """Greedy highest-degree removal order, ties broken by lowest node id.
 
@@ -34,8 +40,7 @@ def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> Attack
     initial degrees fix the whole order.  One lazy max-heap of (-degree, id)
     serves both; popped entries with a stale degree are skipped: O((n+m) log n).
     """
-    if not 0 <= count <= g.n:
-        raise ValueError(f"count must lie in 0..{g.n}")
+    _check_count(count, g.n)
     indptr, indices, _ = g.csr
     degree = g.degrees()
     heap = [(-d, v) for v, d in enumerate(degree)]
@@ -59,8 +64,7 @@ def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> Attack
 def plan_random_nodes(g: Graph, count: int, seed: int) -> AttackPlan:
     """Uniform node sample without replacement: the first count ids of
     range(n) after random.Random(seed).shuffle, a Fisher-Yates shuffle."""
-    if not 0 <= count <= g.n:
-        raise ValueError(f"count must lie in 0..{g.n}")
+    _check_count(count, g.n)
     ids = list(range(g.n))
     random.Random(seed).shuffle(ids)
     return AttackPlan(kind="node", strategy="random-node", order=tuple(ids[:count]), seed=seed)
@@ -69,8 +73,7 @@ def plan_random_nodes(g: Graph, count: int, seed: int) -> AttackPlan:
 def plan_random_links(g: Graph, count: int, seed: int) -> AttackPlan:
     """Uniform link sample without replacement: the links at the first count
     ids of range(m) after random.Random(seed).shuffle, a Fisher-Yates shuffle."""
-    if not 0 <= count <= g.m:
-        raise ValueError(f"count must lie in 0..{g.m}")
+    _check_count(count, g.m)
     ids = list(range(g.m))
     random.Random(seed).shuffle(ids)
     order = tuple(g.edges[i] for i in ids[:count])

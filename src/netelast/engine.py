@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .attacks import AttackPlan, plan_random_links, plan_random_nodes, plan_targeted_degree
-from .graph import Graph, _check_node_ids
+from .graph import Graph, _link_ids, _node_ids
 from .routing import DEFAULT_MODE, MODES, masked_throughputs
 
 DEFAULT_STEPS = 80
@@ -90,25 +90,14 @@ def _link_ranks(g: Graph, plan: AttackPlan, count: int) -> np.ndarray:
 
     A link plan removes a link at its own position, a node plan at the
     earlier position of its two endpoints; a repeated entry counts at its
-    first position.  Only the first count entries, the ones a sweep
-    removes, are checked, with the errors of remove_nodes/remove_links.
+    first position.  Only the first count entries, the ones a sweep removes,
+    are resolved, by remove_nodes'/remove_links' own _node_ids/_link_ids.
     """
-    prefix = plan.order[:count]
-    if plan.kind == "node":
-        _check_node_ids(g, prefix)
-        slots, size = prefix, g.n
-    else:
-        link_id = {e: i for i, e in enumerate(g.edges)}
-        keys = [(u, v) if u < v else (v, u) for u, v in prefix]
-        bad = [k for k in keys if k not in link_id]
-        if bad:
-            raise ValueError(f"edge {bad[0]} not present in graph")
-        slots, size = [link_id[k] for k in keys], g.m
-    rank = np.full(size, count, dtype=np.int64)
+    node = plan.kind == "node"
+    slots = (_node_ids if node else _link_ids)(g, plan.order[:count])
+    rank = np.full(g.n if node else g.m, count, dtype=np.int64)
     np.minimum.at(rank, np.asarray(slots, dtype=np.int64), np.arange(len(slots)))
-    if plan.kind == "node":
-        rank = rank[g.ends.reshape(-1, 2)].min(axis=1)
-    return rank
+    return rank[g.ends.reshape(-1, 2)].min(axis=1) if node else rank
 
 
 def _sweep_targets(

@@ -96,6 +96,13 @@ class ComponentLabeling:
         return len(self.component_sizes)
 
 
+def _check_integer_pairs(pairs: Collection[tuple[int, int]]) -> None:
+    if not set(map(type, chain.from_iterable(pairs))) <= {int}:  # a type pass costs half an isinstance loop
+        for u, v in pairs:
+            if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))):
+                raise ValueError(f"edge ({u!r}, {v!r}) has a node id that is not an integer")
+
+
 def make_graph(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray,
                labels: list[int] | None = None) -> Graph:
     """Build a Graph from (u, v) pairs, or from an int array of them of
@@ -111,10 +118,7 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray,
         raise ValueError("node count must be nonnegative")
     if not (isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu"):
         pairs = pairs.tolist() if isinstance(pairs, np.ndarray) else list(pairs)
-        if not set(map(type, chain.from_iterable(pairs))) <= {int}:
-            for u, v in pairs:
-                if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))):
-                    raise ValueError(f"edge ({u!r}, {v!r}) has a node id that is not an integer")
+        _check_integer_pairs(pairs)
     try:
         ends = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
         bad = np.flatnonzero(((ends < 0) | (ends >= n)).any(axis=1))[:1].tolist()
@@ -192,9 +196,8 @@ def _label_components(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarr
     return component_id, np.bincount(component_id, minlength=count)
 
 
-def _check_node_ids(g: Graph, ids: Collection) -> None:
-    """Refuse an id that is not an integer, then one outside 0..g.n-1,
-    naming the first such id."""
+def _node_ids(g: Graph, ids: Collection[int]) -> Collection[int]:
+    """ids, after refusing the first that is not an integer, then one outside 0..g.n-1."""
     if not set(map(type, ids)) <= {int}:  # a type pass costs half an isinstance loop
         for v in ids:
             if not isinstance(v, (int, np.integer)):
@@ -202,6 +205,18 @@ def _check_node_ids(g: Graph, ids: Collection) -> None:
     for v in ids:
         if not 0 <= v < g.n:
             raise ValueError(f"victim id {v} out of range for n={g.n}")
+    return ids
+
+
+def _link_ids(g: Graph, pairs: Collection[tuple[int, int]]) -> list[int]:
+    """Each pair's index in g.edges, the pair in either orientation (see remove_links)."""
+    _check_integer_pairs(pairs)
+    index = dict(zip(g.edges, range(g.m)))
+    keys = [(u, v) if u < v else (v, u) for u, v in pairs]
+    ids = [index.get(k, -1) for k in keys]
+    if -1 in ids:
+        raise ValueError(f"edge {keys[ids.index(-1)]} not present in graph")
+    return ids
 
 
 def remove_nodes(g: Graph, victims: Iterable[int]) -> tuple[Graph, list[int]]:
@@ -210,8 +225,7 @@ def remove_nodes(g: Graph, victims: Iterable[int]) -> tuple[Graph, list[int]]:
     The second element maps new dense ids back to the ids they had in g
     (survivors in ascending order).  The input graph is left untouched.
     """
-    victim_set = set(victims)
-    _check_node_ids(g, victim_set)
+    victim_set = _node_ids(g, set(victims))
     survivors = [v for v in range(g.n) if v not in victim_set]
     new_id = {old: i for i, old in enumerate(survivors)}
     # The relabel keeps id order, so the kept links stay canonical.
@@ -223,14 +237,8 @@ def remove_nodes(g: Graph, victims: Iterable[int]) -> tuple[Graph, list[int]]:
 def remove_links(g: Graph, victims: Iterable[tuple[int, int]]) -> Graph:
     """Return a new Graph with the victim links removed; nodes are kept.
 
-    Isolated nodes produced by the removal stay in the graph (they still
-    count toward percent-remaining bookkeeping in link sweeps).
+    Victims may name links in either orientation; a non-integer id, then a pair
+    that is no link of g, raises ValueError.  Isolated nodes stay, as link sweeps count them.
     """
-    normalized: set[tuple[int, int]] = set()
-    edge_set = set(g.edges)
-    for u, v in victims:
-        key = (u, v) if u < v else (v, u)
-        if key not in edge_set:
-            raise ValueError(f"edge {key} not present in graph")
-        normalized.add(key)
-    return Graph(n=g.n, edges=[e for e in g.edges if e not in normalized], labels=g.labels)
+    gone = set(_link_ids(g, list(victims)))
+    return Graph(n=g.n, edges=[e for i, e in enumerate(g.edges) if i not in gone], labels=g.labels)

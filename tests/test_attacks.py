@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from netelast import (
@@ -59,6 +60,16 @@ def test_targeted_greedy_invariant():
 def test_targeted_count_validation():
     with pytest.raises(ValueError):
         plan_targeted_degree(path_graph(3), 4)
+
+
+def test_planners_refuse_a_count_that_is_not_an_integer():
+    g = path_graph(5)
+    for plan in (plan_targeted_degree, lambda g, count: plan_random_nodes(g, count, seed=1),
+                 lambda g, count: plan_random_links(g, count, seed=1)):
+        for bad in (2.5, 2.0, "2", -1, 6):
+            with pytest.raises(ValueError, match="count must lie in 0..[45]$"):
+                plan(g, bad)
+        assert plan(g, np.int64(2)) == plan(g, 2)
 
 
 def test_random_nodes_full_permutation():

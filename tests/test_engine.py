@@ -1,7 +1,9 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from netelast import (
     grid_graph,
     make_graph,
     normalized_throughput,
+    path_graph,
     plan_random_links,
     plan_random_nodes,
     plan_targeted_degree,
@@ -89,8 +92,18 @@ def test_sweep_parameter_validation():
         with pytest.raises(ValueError, match=f"victim id {bad}"):
             sweep(s5, AttackPlan(kind="node", strategy="degree", order=(bad, 0, 1, 2, 3)), 0.8, 4)
     absent = AttackPlan(kind="link", strategy="random-link", order=((1, 2), (0, 1), (0, 2), (0, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) not present in graph"):
         sweep(s5, absent, 0.8, 4)
+    # a link id follows make_graph's integer rule; a numpy integer is one
+    p5 = path_graph(5)
+
+    def link_plan(first):
+        return AttackPlan(kind="link", strategy="random-link", order=(first, (0, 1), (2, 3), (3, 4)))
+
+    for bad in ((1.0, 2), (1.5, 2), ("1", 2)):
+        with pytest.raises(ValueError, match=re.escape(f"edge {bad!r} has a node id that is not an integer")):
+            sweep(p5, link_plan(bad), 0.8, 4)
+    assert sweep(p5, link_plan((np.int64(1), 2)), 0.8, 4) == sweep(p5, link_plan((1, 2)), 0.8, 4)
     # a link named in either orientation is the same link
     g = grid_graph(3, 3)
     plan = plan_random_links(g, g.m, seed=5)

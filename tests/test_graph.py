@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import networkx as nx
 import numpy as np
@@ -269,8 +270,14 @@ def test_remove_links():
     assert p2.n == 2 and p2.m == 0
     same = remove_links(k3, [])
     assert same.edges == k3.edges
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(0, 2\) not present in graph"):
         remove_links(p, [(0, 2)])
+    # link ids follow make_graph's integer rule; a numpy integer is one
+    p5 = path_graph(5)
+    for bad in ((1.0, 2), (1.5, 2), ("1", 2)):
+        with pytest.raises(ValueError, match=re.escape(f"edge {bad!r} has a node id that is not an integer")):
+            remove_links(p5, [bad])
+    assert remove_links(p5, [(np.int64(2), 1)]).edges == [(0, 1), (2, 3), (3, 4)]
 
 
 def test_dense_input_ids_kept_verbatim():
