@@ -9,6 +9,14 @@ from dataclasses import dataclass
 
 from .graph import Graph
 
+__all__ = [
+    "AttackPlan",
+    "STRATEGIES",
+    "plan_random_links",
+    "plan_random_nodes",
+    "plan_targeted_degree",
+]
+
 STRATEGIES = ("degree", "random-node", "random-link")
 
 

@@ -24,6 +24,19 @@ from .attacks import AttackPlan, plan_random_links, plan_random_nodes, plan_targ
 from .graph import Graph, _link_ids, _node_ids
 from .routing import DEFAULT_MODE, MODES, masked_throughputs
 
+__all__ = [
+    "AveragedSweep",
+    "DEFAULT_MAX_REMOVAL",
+    "DEFAULT_STEPS",
+    "DEFAULT_TRIALS",
+    "ElasticityResult",
+    "ThroughputCurve",
+    "area_under_curve",
+    "averaged_elasticity",
+    "elasticity",
+    "sweep",
+]
+
 DEFAULT_STEPS = 80
 DEFAULT_MAX_REMOVAL = 0.8
 DEFAULT_TRIALS = 20
@@ -79,12 +92,6 @@ class AveragedSweep:
     trial_curves: tuple[ThroughputCurve, ...]
 
 
-def _batch_targets(total: int, fraction: float, steps: int) -> list[int]:
-    # Cumulative removal target after step k, rounded half-up; the final
-    # step lands on round(fraction * total) regardless of divisibility.
-    return [int(k * fraction * total / steps + 0.5) for k in range(1, steps + 1)]
-
-
 def _link_ranks(g: Graph, plan: AttackPlan, count: int) -> np.ndarray:
     """Plan position at which each link of g goes; count for links kept.
 
@@ -103,8 +110,14 @@ def _link_ranks(g: Graph, plan: AttackPlan, count: int) -> np.ndarray:
 def _sweep_targets(
     g: Graph, plan: AttackPlan, max_removal_fraction: float, steps: int, mode: str
 ) -> tuple[int, list[int]]:
-    """Validate a sweep; its entity total and the removal targets it measures:
-    0 for the intact graph, then each distinct nonzero batch target, ascending."""
+    """Validate a sweep; its entity total and the removal targets it measures.
+
+    The targets are 0 for the intact graph, then each distinct nonzero batch
+    target, ascending: the cumulative target after step k of steps is
+    k * fraction * total / steps rounded half-up, so the last lands on
+    round(fraction * total) regardless of divisibility.  The plan must cover
+    the last target.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
     if not 0.0 < max_removal_fraction <= 1.0:
@@ -114,11 +127,11 @@ def _sweep_targets(
     if plan.kind not in ("node", "link"):
         raise ValueError(f"unknown plan kind {plan.kind!r}")
     total = g.n if plan.kind == "node" else g.m
-    needed = math.ceil(max_removal_fraction * total)
-    if len(plan.order) < needed:
-        raise ValueError(f"plan covers {len(plan.order)} entities, sweep needs {needed}")
-    targets = _batch_targets(total, max_removal_fraction, steps)
-    return total, [0, *sorted(set(targets) - {0})]
+    targets = [0, *sorted({int(k * max_removal_fraction * total / steps + 0.5)
+                           for k in range(1, steps + 1)} - {0})]
+    if len(plan.order) < targets[-1]:
+        raise ValueError(f"plan covers {len(plan.order)} entities, sweep needs {targets[-1]}")
+    return total, targets
 
 
 def sweep(

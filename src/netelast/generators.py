@@ -7,6 +7,19 @@ from typing import Sequence
 
 from .graph import Graph, make_graph
 
+__all__ = [
+    "complete_graph",
+    "cycle_graph",
+    "erdos_renyi",
+    "generate",
+    "grid_graph",
+    "parse_generator_spec",
+    "path_graph",
+    "scale_free_ba",
+    "star_graph",
+    "wheel_graph",
+]
+
 
 def path_graph(n: int) -> Graph:
     if n < 1:

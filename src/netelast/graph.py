@@ -16,6 +16,18 @@ from typing import Collection, Iterable
 
 import numpy as np
 
+__all__ = [
+    "ComponentLabeling",
+    "EdgeListParseError",
+    "Graph",
+    "connected_components",
+    "dump_edge_list",
+    "load_edge_list",
+    "make_graph",
+    "remove_links",
+    "remove_nodes",
+]
+
 # The loader's text puts a "\n" before every line, the first too, and has
 # no other "\n".  _BAD_LINE matches the "\n" before the first line that is
 # neither blank, a comment, nor two runs of ASCII digits; starting at a
@@ -97,8 +109,16 @@ class ComponentLabeling:
 
 
 def _check_integer_pairs(pairs: Collection[tuple[int, int]]) -> None:
-    if not set(map(type, chain.from_iterable(pairs))) <= {int}:  # a type pass costs half an isinstance loop
-        for u, v in pairs:
+    try:  # a len and a type pass cost less than the isinstance loop
+        plain = set(map(len, pairs)) <= {2} and set(map(type, chain.from_iterable(pairs))) <= {int}
+    except TypeError:  # an item without len
+        plain = False
+    if not plain:
+        for pair in pairs:
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {pair!r} is not a pair of node ids") from None
             if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))):
                 raise ValueError(f"edge ({u!r}, {v!r}) has a node id that is not an integer")
 

@@ -6,6 +6,14 @@ from dataclasses import dataclass
 
 from .graph import Graph
 
+__all__ = [
+    "DegreeHistogram",
+    "MetricsSummary",
+    "assortativity",
+    "degree_histogram",
+    "summarize",
+]
+
 
 @dataclass(frozen=True)
 class MetricsSummary:

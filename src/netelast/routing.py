@@ -38,6 +38,15 @@ import numpy as np
 
 from .graph import Graph, _label_components
 
+__all__ = [
+    "DEFAULT_MODE",
+    "FlowAssignment",
+    "MODES",
+    "normalized_throughput",
+    "route_all_pairs",
+    "throughput",
+]
+
 #: Normalization modes for throughput relative to the intact baseline:
 #: "bottleneck" re-derives the bottleneck rate on the degraded graph
 #: (default); "flow-ratio" compares deliverable flow counts only.

@@ -14,6 +14,15 @@ import numpy as np
 
 from .graph import Graph
 
+__all__ = [
+    "DEFAULT_SIZE_GUARD",
+    "SizeGuardError",
+    "SpectralSummary",
+    "algebraic_connectivity",
+    "eigenvalues",
+    "laplacian",
+]
+
 DEFAULT_SIZE_GUARD = 4000
 
 

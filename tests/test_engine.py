@@ -78,6 +78,18 @@ def test_sweep_plan_too_short():
         sweep(s5, plan_targeted_degree(s5, 2), 0.8, 4)
 
 
+def test_sweep_plan_needs_to_cover_only_the_last_target():
+    # 0.3 * 11 = 3.3 rounds to 3 removals, so a 3-node plan covers the sweep
+    p11 = path_graph(11)
+    plan = AttackPlan(kind="node", strategy="degree", order=(0, 5, 10))
+    for mode in ("bottleneck", "flow-ratio"):
+        curve = sweep(p11, plan, 0.3, 80, mode)
+        assert curve.samples[-1][0] == 8 / 11
+        assert (curve.samples, curve.clamp_events) == reference_sweep(p11, plan, 0.3, 80, mode)
+    with pytest.raises(ValueError, match="plan covers 2 entities, sweep needs 3"):
+        sweep(p11, replace(plan, order=(0, 5)), 0.3, 80)
+
+
 def test_sweep_parameter_validation():
     s5 = star_graph(5)
     plan = plan_targeted_degree(s5, 5)
@@ -102,6 +114,9 @@ def test_sweep_parameter_validation():
 
     for bad in ((1.0, 2), (1.5, 2), ("1", 2)):
         with pytest.raises(ValueError, match=re.escape(f"edge {bad!r} has a node id that is not an integer")):
+            sweep(p5, link_plan(bad), 0.8, 4)
+    for bad in ((1, 2, 3), 1):
+        with pytest.raises(ValueError, match=re.escape(f"edge {bad!r} is not a pair of node ids")):
             sweep(p5, link_plan(bad), 0.8, 4)
     assert sweep(p5, link_plan((np.int64(1), 2)), 0.8, 4) == sweep(p5, link_plan((1, 2)), 0.8, 4)
     # a link named in either orientation is the same link

@@ -184,6 +184,20 @@ def test_make_graph_names_the_first_pair_with_an_id_that_is_not_an_integer(pairs
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([1, 2], "edge 1 is not a pair of node ids"),
+    ([1], "edge 1 is not a pair of node ids"),
+    ([(0, 1, 2)], "edge (0, 1, 2) is not a pair of node ids"),
+    ([(1, 2, 3)], "edge (1, 2, 3) is not a pair of node ids"),
+    ([(0, 1), (1.5, 2), (3,)], "edge (1.5, 2) has a node id that is not an integer"),
+])
+def test_make_graph_and_remove_links_name_the_first_item_that_is_not_a_pair(pairs, message):
+    for build in (lambda: make_graph(3, pairs), lambda: remove_links(path_graph(5), pairs)):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 6), pairs=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)),
                                           max_size=12))

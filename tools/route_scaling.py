@@ -29,7 +29,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from netelast import grid_graph, plan_targeted_degree, route_all_pairs, scale_free_ba  # noqa: E402
-from netelast.engine import _link_ranks  # noqa: E402
+from netelast.engine import _link_ranks, _sweep_targets  # noqa: E402
 
 SIZES = (1024, 2048, 4096, 8192)
 GRID_SIDES = {1024: (32, 32), 2048: (32, 64), 4096: (64, 64), 8192: (64, 128)}
@@ -42,9 +42,10 @@ ATTACK_FRACTIONS = (0.1, 0.2, 0.3)
 
 def degree_attack_keep(g, fraction: float) -> np.ndarray:
     """The links of g left once its degree attack has removed fraction of
-    the nodes, rounded half up as a sweep rounds its batch targets."""
-    count = int(fraction * g.n + 0.5)
-    return _link_ranks(g, plan_targeted_degree(g, count), count) >= count
+    the nodes, as many as a sweep of that width removes."""
+    plan = plan_targeted_degree(g, g.n)
+    count = _sweep_targets(g, plan, fraction, 1, "bottleneck")[1][-1]
+    return _link_ranks(g, plan, count) >= count
 
 
 def measure(g, keep: np.ndarray | None = None) -> tuple[float, int, float]:
