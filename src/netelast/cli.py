@@ -69,6 +69,14 @@ def _add_source_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=42, help="run seed (default 42)")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_sweep_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attack", choices=STRATEGIES, default="degree")
     p.add_argument("--mode", choices=MODES, default=DEFAULT_MODE)
@@ -79,8 +87,9 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
                    help="fraction of entities removed by the end of a sweep")
     p.add_argument("--static-degree", action="store_true",
                    help="rank the targeted attack by initial degrees only")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="processes that share the samples and trials of a study (default 1)")
+    p.add_argument("--jobs", type=int, default=_usable_cpus(),
+                   help="processes that share the samples and trials of a study "
+                        "(default: the CPUs this process may use, %(default)s here)")
 
 
 def _study(g: Graph, args) -> AveragedSweep:

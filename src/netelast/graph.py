@@ -126,7 +126,7 @@ def _check_integer_pairs(pairs: Collection[tuple[int, int]]) -> None:
 def make_graph(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray,
                labels: list[int] | None = None) -> Graph:
     """Build a Graph from (u, v) pairs, or from an int array of them of
-    shape (k, 2).
+    shape (k, 2); an int array of any other shape is an error.
 
     The one canonicalizer of links: self-loops are dropped, and each link
     is keyed u*n + v with u < v, so sorting the keys and dropping repeats
@@ -136,7 +136,10 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray,
     """
     if n < 0:
         raise ValueError("node count must be nonnegative")
-    if not (isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu"):
+    if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"an integer edge array must have shape (k, 2), got shape {pairs.shape}")
+    else:
         pairs = pairs.tolist() if isinstance(pairs, np.ndarray) else list(pairs)
         _check_integer_pairs(pairs)
     try:

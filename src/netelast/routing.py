@@ -24,15 +24,16 @@ Bottleneck mode routes every sample from scratch, cut from the intact graph's
 CSR by a link mask.  Flow-ratio mode needs only deliverable pair counts, and
 those come from one reverse union-find pass per sweep that adds the links
 back in descending rank.  So routing also cuts a study's trials into work
-items, a whole flow-ratio sweep or one bottleneck sample, and runs them,
-in a process pool when asked.
+items and runs them, in a process pool when asked.  A work item is a
+flow-ratio trial, a bottleneck sample, or a root share of a sample too
+large for one worker.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -161,6 +162,17 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     is sorted or stored.  Every count is an integer of at most n**2, exact
     in float64.  delivered is the sum of C*(C - 1) over component sizes.
     """
+    return _route(g, keep)
+
+
+def _route(g: Graph, keep: np.ndarray | None = None, part: int = 0, parts: int = 1) -> FlowAssignment:
+    """Share part of parts of route_all_pairs(g, keep): the loads of the
+    routes into the core roots roots[part::parts] (interleaved, so each
+    share spreads over the core and its components), and, in share 0
+    alone, the peeled links' bridge loads.  Every load is an exact integer,
+    so the shares' link_load arrays sum, in any order, to the route's.
+    Every share has the route's delivered; max_link_load is the share's own.
+    """
     # Only a route uses scipy, so commands that never route start without it.
     from scipy.sparse import csr_array, csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
@@ -182,7 +194,8 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     peeled = up >= 0
     w = weight[peeled]
     load_acc = np.zeros(m, dtype=np.float64)
-    load_acc[up[peeled]] = 2 * w * (sizes[label[peeled]] - w)
+    if part == 0:
+        load_acc[up[peeled]] = 2 * w * (sizes[label[peeled]] - w)
 
     indptr, indices, slot_link = _cut(indptr, indices, slot_link,
                                       np.repeat(core, np.diff(indptr)) & core[indices])
@@ -193,15 +206,16 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     link_of = csr_array((slot_link + 1, graph.indices, graph.indptr), shape=(n, n))
     del indices, slot_link  # not read past here: freed before the searches
-    roots = np.flatnonzero(core)
+    core_size = int(core.sum())
+    roots = np.flatnonzero(core)[part::parts]
 
     # each node's place in the BFS order of the root being searched
     position = np.empty(n, dtype=np.int64)
-    block = max(1, _BLOCK_CELLS // max(len(roots), 1))
+    block = max(1, _BLOCK_CELLS // max(core_size, 1))
     # Every array of block size is allocated once, here, and each block
     # writes into slices of it, as fresh ones would be paged in anew for
-    # each block; a block fills at most block * len(roots) entries.
-    cells = min(block, len(roots)) * len(roots)
+    # each block; a block fills at most block * core_size entries.
+    cells = min(block, len(roots)) * core_size
     count = np.arange(n)  # places in one BFS order, so of size n
     node_buf = np.empty(cells, dtype=np.int32)
     # int64 like the level bounds, so searchsorted never casts the parents
@@ -337,15 +351,60 @@ def _init_worker(*study) -> None:
     _worker_study = study
 
 
-def _measure(item: tuple[int, tuple[int, ...]], study: tuple = ()) -> list[float]:
+# A work item: (trial, its targets, share, shares).  A flow-ratio trial
+# holds all its targets, a bottleneck sample one, and only a bottleneck
+# sample is cut into more than one root share.
+_Item = tuple[int, tuple[int, ...], int, int]
+
+
+def _measure(item: _Item, study: tuple = ()) -> list[float] | FlowAssignment:
     """One work item's values: its trial's masked graph at each of its
-    targets, in the study given or else in the worker's."""
+    targets, in the study given or else in the worker's.  A root share of a
+    bottleneck sample returns its FlowAssignment, for the parent to sum."""
     g, ranks, mode = study or _worker_study
-    trial, group = item
+    trial, group, part, parts = item
     if mode == "flow-ratio":
         return _pair_counts(g, ranks[trial], group)
-    fa = route_all_pairs(g, ranks[trial] >= group[0])
+    keep = ranks[trial] >= group[0]
+    if parts > 1:
+        return _route(g, keep, part, parts)
+    fa = route_all_pairs(g, keep)  # the name perfbench's tracer wraps
     return [fa.delivered / fa.max_link_load if fa.max_link_load else 0.0]
+
+
+def _shares(samples: list[tuple[int, tuple[int, ...]]], ranks: Sequence[np.ndarray],
+            jobs: int) -> list[_Item]:
+    """The bottleneck samples as work items for jobs workers, in their order.
+
+    A route costs about (kept links)**2: a search per root over the kept
+    links.  Run largest first (Graham 1969), a study cannot finish before
+    its largest item, so a sample that costs more than the fair share
+    sum(costs) / jobs is cut into min(jobs, ceil(cost / fair)) root shares.
+    """
+    costs = [np.count_nonzero(ranks[k] >= group[0]) ** 2 for k, group in samples]
+    fair = sum(costs) / jobs
+    return [(k, group, part, parts)
+            for (k, group), cost in zip(samples, costs)
+            for parts in [min(jobs, math.ceil(cost / fair)) if cost > fair else 1]
+            for part in range(parts)]
+
+
+def _fold(items: list[_Item], values: Iterable[list[float] | FlowAssignment]) -> dict:
+    """Each sample's or trial's values by (trial, group), read in item
+    order as they arrive.  A root share's loads are added to its sample's,
+    and at the sample's last share its throughput is taken from the sum,
+    so only the loads of samples in flight are held."""
+    measured, sums = {}, {}
+    for (k, group, part, parts), value in zip(items, values):
+        if parts > 1:
+            loads = sums.pop((k, group), 0) + value.link_load
+            if part < parts - 1:
+                sums[k, group] = loads
+                continue
+            top = int(loads.max())
+            value = [value.delivered / top if top else 0.0]
+        measured[(k, group)] = value
+    return measured
 
 
 def masked_throughputs(
@@ -365,9 +424,11 @@ def masked_throughputs(
 
     A work item is one bottleneck sample or one flow-ratio trial.  Target 0
     keeps every link, so the intact route is one item shared by all trials.
-    Items run largest first in min(jobs, items) processes; a pool's workers
-    get g and the ranks once, and fork after scipy is imported.  jobs never
-    changes the values.
+    With jobs > 1, a bottleneck sample too large for one worker is cut into
+    root shares (_shares), whose exact loads the parent sums as they
+    arrive.  Items run largest first in min(jobs, items) processes; a
+    pool's workers get g and the ranks once, and fork after scipy is
+    imported.  jobs never changes the values.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
@@ -380,18 +441,24 @@ def masked_throughputs(
     def item(k: int, group: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         return (0, group) if group == (0,) else (k, group)
 
-    items = sorted({item(k, group) for k in range(len(ranks)) for group in groups},
+    whole = sorted({item(k, group) for k in range(len(ranks)) for group in groups},
                    key=lambda it: (it[1][0], it[0]))
+    if mode == "bottleneck" and jobs > 1:
+        items = _shares(whole, ranks, jobs)
+    else:
+        items = [(k, group, 0, 1) for k, group in whole]
     study = (g, ranks, mode)
     workers = min(jobs, len(items))
     if workers <= 1:
-        values = [_measure(it, study) for it in items]
+        measured = _fold(items, (_measure(it, study) for it in items))
     else:
+        # multiprocessing is imported only where a pool starts
+        from concurrent.futures import ProcessPoolExecutor
+
         if mode == "bottleneck":  # the workers share this import
             import scipy.sparse.csgraph  # noqa: F401
         with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=study) as pool:
-            values = list(pool.map(_measure, items))
-    measured = dict(zip(items, values))
+            measured = _fold(items, pool.map(_measure, items))
     return [[v for group in groups for v in measured[item(k, group)]] for k in range(len(ranks))]
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import tempfile
 from pathlib import Path
@@ -255,11 +256,17 @@ def test_jobs_never_change_output_bytes(attack, mode, pairs, seed):
         path = Path(tmp) / "g.txt"
         path.write_text("".join(f"{u} {v}\n" for u, v in pairs))
         outputs = []
-        for jobs in (1, 2, 3):
-            outdir = Path(tmp) / f"jobs{jobs}"
+        # the last run passes no --jobs, so it takes the default
+        for jobs in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"], []):
+            outdir = Path(tmp) / f"jobs{len(outputs)}"
             code = main(["elasticity", "--input", str(path), "--attack", attack, "--mode", mode,
                          "--trials", "3", "--seed", str(seed), "--steps", "10",
-                         "--jobs", str(jobs), "--label", "g", "--outdir", str(outdir)])
+                         *jobs, "--label", "g", "--outdir", str(outdir)])
             assert code == 0
             outputs.append([(outdir / name).read_bytes() for name in ("g_curve.csv", "g_result.json")])
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+
+
+def test_jobs_default_to_the_usable_cpus():
+    args = build_parser().parse_args(["elasticity", "--generate", "grid:3:3"])
+    assert args.jobs == len(os.sched_getaffinity(0))

@@ -18,13 +18,15 @@ def fresh(code: str, cwd: Path) -> dict:
 
 def test_commands_that_never_route_never_import_scipy(tmp_path):
     # import netelast.cli loads numpy and nothing else outside the
-    # standard library, and no command short of a route imports scipy
+    # standard library, nor the process pool's modules, and no command
+    # short of a route imports scipy
     seen = fresh("""
 import json
 before = set(sys.modules)
 import netelast.cli
 loaded = {m.split(".")[0] for m in set(sys.modules) - before}
 third_party = sorted(loaded - set(sys.stdlib_module_names) - {"netelast", "__mp_main__"})
+pool = sorted(loaded & {"concurrent", "multiprocessing"})
 main = netelast.cli.main
 assert main(["generate", "ba:300:3:3", "-o", "ba.txt"]) == 0
 assert main(["generate", "grid:5:5", "-o", "grid.txt"]) == 0
@@ -34,27 +36,27 @@ assert main(["spectral", "--input", "grid.txt", "--json-out", "s.json"]) == 0
 assert main(["elasticity", "--input", "ba.txt", "--mode", "flow-ratio", "--steps", "10"]) == 0
 assert main(["elasticity", "--generate", "er:30:0.2", "--attack", "random-node",
              "--trials", "3", "--mode", "flow-ratio", "--jobs", "2", "--steps", "5"]) == 0
-print(json.dumps({"third_party": third_party, "scipy": "scipy" in sys.modules}))
+print(json.dumps({"third_party": third_party, "pool": pool, "scipy": "scipy" in sys.modules}))
 """, tmp_path)
-    assert seen == {"third_party": ["numpy"], "scipy": False}
+    assert seen == {"third_party": ["numpy"], "pool": [], "scipy": False}
 
 
 def test_a_bottleneck_pool_starts_after_scipy_is_imported(tmp_path):
     # the workers fork from a parent that already holds scipy, so none of
     # them imports its own; a flow-ratio pool imports none at all
     seen = fresh("""
+import concurrent.futures
 import json
-import netelast.routing as routing
 from netelast import averaged_elasticity, grid_graph
 
 pools = []
 
-class Recorded(routing.ProcessPoolExecutor):
+class Recorded(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
         pools.append("scipy.sparse.csgraph" in sys.modules)
         super().__init__(*args, **kwargs)
 
-routing.ProcessPoolExecutor = Recorded
+concurrent.futures.ProcessPoolExecutor = Recorded
 g = grid_graph(4, 4)
 averaged_elasticity(g, "random-link", trials=3, steps=4, mode="flow-ratio", jobs=2)
 averaged_elasticity(g, "degree", steps=4, jobs=2)

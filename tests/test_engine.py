@@ -280,8 +280,10 @@ def test_averaged_jobs_do_not_change_result():
             for k in range(len(serial.trial_curves))
         )
         # one work item per bottleneck sample (the intact one shared by all
-        # trials), one per flow-ratio trial; a pool larger than the items
-        # runs only where that stays a few processes
+        # trials), one per flow-ratio trial; a pool larger than that runs
+        # only where it stays a few processes.  At jobs > 1 a sample that
+        # costs more than a fair share runs as root shares, so the degree
+        # study's 6 samples run as 7, 8 and 12 items at jobs 2, 3 and 7.
         items = (1 + sum(len(c.samples) - 1 for c in serial.trial_curves)
                  if mode == "bottleneck" else 4)
         for jobs in (2, 3, items + 1) if items < 8 else (2, 3):
@@ -290,6 +292,31 @@ def test_averaged_jobs_do_not_change_result():
             assert serial.result == parallel.result
             assert serial.mean_curve == parallel.mean_curve
             assert serial.trial_curves == parallel.trial_curves
+
+
+def test_a_dominant_sample_is_routed_in_root_shares(monkeypatch):
+    # a steps=1 degree study has two samples, and the intact one holds
+    # most of the work, so at jobs=2 it runs as two root shares, then the
+    # smaller sample runs whole; the values stay those of jobs=1, and the
+    # second sample's is not 0, so it reads the intact throughput
+    import concurrent.futures
+
+    mapped = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, items):
+            mapped.extend(items)
+            return super().map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    g = grid_graph(12, 12)
+    serial = averaged_elasticity(g, "degree", steps=1, max_removal_fraction=0.2)
+    assert not mapped and serial.trial_curves[0].samples[1][1] > 0
+    parallel = averaged_elasticity(g, "degree", steps=1, max_removal_fraction=0.2, jobs=2)
+    target = mapped[2][1]
+    assert mapped == [(0, (0,), 0, 2), (0, (0,), 1, 2), (0, target, 0, 1)]
+    assert parallel.result == serial.result
+    assert parallel.trial_curves == serial.trial_curves
 
 
 @pytest.mark.parametrize("strategy, mode, trials", [
@@ -352,7 +379,7 @@ def test_averaged_result_fields_are_exact(strategy, mode, trials):
     {"strategy": "degree", "mode": "fastest"},
 ])
 def test_invalid_study_fails_before_any_pool(study, monkeypatch):
-    import netelast.routing as routing
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool started for an invalid study")
@@ -360,7 +387,7 @@ def test_invalid_study_fails_before_any_pool(study, monkeypatch):
     g = erdos_renyi(12, 0.3, seed=3)
     with pytest.raises(ValueError) as serial:
         averaged_elasticity(g, trials=3, **study)
-    monkeypatch.setattr(routing, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError) as parallel:
         averaged_elasticity(g, trials=3, jobs=2, **study)
     assert str(parallel.value) == str(serial.value)

@@ -198,6 +198,17 @@ def test_make_graph_and_remove_links_name_the_first_item_that_is_not_a_pair(pair
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("pairs, message", [
+    (np.array([1, 2]), "an integer edge array must have shape (k, 2), got shape (2,)"),
+    (np.array([[0, 1, 2]]), "an integer edge array must have shape (k, 2), got shape (1, 3)"),
+    (np.zeros((2, 2, 2), dtype=int), "an integer edge array must have shape (k, 2), got shape (2, 2, 2)"),
+])
+def test_make_graph_names_the_shape_of_an_integer_array_that_is_not_k_by_2(pairs, message):
+    with pytest.raises(ValueError) as exc:
+        make_graph(3, pairs)
+    assert str(exc.value) == message
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 6), pairs=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)),
                                           max_size=12))

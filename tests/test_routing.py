@@ -28,7 +28,7 @@ from netelast import (
     throughput,
     wheel_graph,
 )
-from netelast.routing import MODES, _runs, delivered_flow_count, masked_throughputs
+from netelast.routing import MODES, _route, _runs, delivered_flow_count, masked_throughputs
 
 from flow_oracle import brute_force_flows, total_path_length
 
@@ -86,17 +86,20 @@ def relabeled(g, seed):
     return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+# three components (a 4-cycle, a path and a 5-cycle with a chord) around
+# isolated nodes
+THREE_PARTS = make_graph(16, [(1, 7), (7, 4), (4, 12), (12, 1), (3, 10), (10, 15),
+                              (0, 5), (5, 9), (9, 14), (14, 11), (11, 0), (5, 14)])
+
+
 def test_oracle_equivalence_fixtures():
     # BA-1024 is the bottleneck-mode scale the benchmark sweeps; the grid and
     # the relabeled 6-cube are deep and full of equal-length routes, so every
-    # lowest-id tie rule shows; the last graph has three components (a
-    # 4-cycle, a path and a 5-cycle with a chord) around isolated nodes
-    parts = make_graph(16, [(1, 7), (7, 4), (4, 12), (12, 1), (3, 10), (10, 15),
-                            (0, 5), (5, 9), (9, 14), (14, 11), (11, 0), (5, 14)])
+    # lowest-id tie rule shows; the last graph has three components
     for g in (
         path_graph(7), complete_graph(6), star_graph(6), wheel_graph(8),
         scale_free_ba(1024, 3, 3, seed=42), grid_graph(12, 12),
-        relabeled(hypercube(6), seed=6), parts,
+        relabeled(hypercube(6), seed=6), THREE_PARTS,
     ):
         assert_matches_oracle(g)
 
@@ -228,6 +231,34 @@ def test_weighted_core_in_several_blocks(monkeypatch):
     for cells in (1, 3 * 20):
         monkeypatch.setattr(routing, "_BLOCK_CELLS", cells)
         assert_matches_oracle(g)
+
+
+def test_root_shares_sum_to_one_route(monkeypatch):
+    # a sample too large for one worker is routed in root shares, and their
+    # exact loads sum to the route's for any number of shares: over pendant
+    # trees (whose bridge loads share 0 alone adds), a forest with no core
+    # to share, three components around isolated nodes, and a masked
+    # sample, with one block per share and with blocks of 7 cells
+    import netelast.routing as routing
+
+    masked = erdos_renyi(30, 0.15, seed=4)
+    cases = [
+        (with_trees(cycle_graph(9), 30, seed=2), None),
+        (with_trees(wheel_graph(8), 25, seed=5), None),
+        (relabeled(make_graph(12, [(v, v // 2) for v in range(1, 12)]), seed=3), None),
+        (THREE_PARTS, None),
+        (masked, np.random.default_rng(4).random(masked.m) < 0.7),
+    ]
+    for cells in (routing._BLOCK_CELLS, 7):
+        monkeypatch.setattr(routing, "_BLOCK_CELLS", cells)
+        for g, keep in cases:
+            whole = route_all_pairs(g, keep)
+            for k in range(1, 5):
+                shares = [_route(g, keep, part, k) for part in range(k)]
+                total = sum(fa.link_load for fa in shares)
+                assert total.dtype == np.int64
+                assert total.tolist() == whole.link_load.tolist()
+                assert [fa.delivered for fa in shares] == [whole.delivered] * k
 
 
 def test_keep_must_be_a_bool_mask_over_the_links():
