@@ -69,20 +69,30 @@ def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> Attack
     return AttackPlan(kind="node", strategy="degree", order=tuple(order))
 
 
+def _random_plan(g: Graph, kind: str, count: int, seed: int) -> tuple[AttackPlan, list[int]]:
+    """The plan of plan_random_nodes or plan_random_links, by kind, and the ids
+    its shuffle drew.  random.Random seeds an int by its absolute value, so a
+    negative seed, which would repeat its positive twin's plan, is refused."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    total = g.n if kind == "node" else g.m
+    _check_count(count, total)
+    ids = list(range(total))
+    random.Random(seed).shuffle(ids)
+    del ids[count:]
+    order = tuple(ids) if kind == "node" else tuple(map(g.edges.__getitem__, ids))
+    return AttackPlan(kind=kind, strategy=f"random-{kind}", order=order, seed=seed), ids
+
+
 def plan_random_nodes(g: Graph, count: int, seed: int) -> AttackPlan:
     """Uniform node sample without replacement: the first count ids of
-    range(n) after random.Random(seed).shuffle, a Fisher-Yates shuffle."""
-    _check_count(count, g.n)
-    ids = list(range(g.n))
-    random.Random(seed).shuffle(ids)
-    return AttackPlan(kind="node", strategy="random-node", order=tuple(ids[:count]), seed=seed)
+    range(n) after random.Random(seed).shuffle, a Fisher-Yates shuffle.
+    A negative seed is refused."""
+    return _random_plan(g, "node", count, seed)[0]
 
 
 def plan_random_links(g: Graph, count: int, seed: int) -> AttackPlan:
     """Uniform link sample without replacement: the links at the first count
-    ids of range(m) after random.Random(seed).shuffle, a Fisher-Yates shuffle."""
-    _check_count(count, g.m)
-    ids = list(range(g.m))
-    random.Random(seed).shuffle(ids)
-    order = tuple(g.edges[i] for i in ids[:count])
-    return AttackPlan(kind="link", strategy="random-link", order=order, seed=seed)
+    ids of range(m) after random.Random(seed).shuffle, a Fisher-Yates shuffle.
+    A negative seed is refused."""
+    return _random_plan(g, "link", count, seed)[0]

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackPlan, plan_random_links, plan_random_nodes, plan_targeted_degree
+from .attacks import AttackPlan, _random_plan, plan_targeted_degree
 from .graph import Graph, _link_ids, _node_ids
 from .routing import DEFAULT_MODE, MODES, masked_throughputs
 
@@ -92,18 +92,21 @@ class AveragedSweep:
     trial_curves: tuple[ThroughputCurve, ...]
 
 
-def _link_ranks(g: Graph, plan: AttackPlan, count: int) -> np.ndarray:
+def _link_ranks(g: Graph, kind: str, ids: Sequence[int], count: int) -> np.ndarray:
     """Plan position at which each link of g goes; count for links kept.
 
-    A link plan removes a link at its own position, a node plan at the
-    earlier position of its two endpoints; a repeated entry counts at its
-    first position.  Only the first count entries, the ones a sweep removes,
-    are resolved, by remove_nodes'/remove_links' own _node_ids/_link_ids.
+    ids are a plan's entries as checked ids, in removal order: node ids for
+    a "node" plan, indices into g.edges for a "link" plan.  A study's own
+    trials pass the ids their planner drew; sweep first resolves a plan's
+    entries by remove_nodes'/remove_links' own _node_ids/_link_ids.  A link
+    plan removes a link at its own position, a node plan at the earlier
+    position of its two endpoints; a repeated id counts at its first
+    position.  Only the first count ids, the ones a sweep removes, are read.
     """
-    node = plan.kind == "node"
-    slots = (_node_ids if node else _link_ids)(g, plan.order[:count])
+    node = kind == "node"
+    ids = np.asarray(ids[:count], dtype=np.int64)
     rank = np.full(g.n if node else g.m, count, dtype=np.int64)
-    np.minimum.at(rank, np.asarray(slots, dtype=np.int64), np.arange(len(slots)))
+    np.minimum.at(rank, ids, np.arange(len(ids)))
     return rank[g.ends.reshape(-1, 2)].min(axis=1) if node else rank
 
 
@@ -158,7 +161,9 @@ def sweep(
     """
     total, targets = _sweep_targets(g, plan, max_removal_fraction, steps, mode)
     if throughputs is None:
-        throughputs = masked_throughputs(g, [_link_ranks(g, plan, targets[-1])], targets, mode)[0]
+        ids = (_node_ids if plan.kind == "node" else _link_ids)(g, plan.order[:targets[-1]])
+        rank = _link_ranks(g, plan.kind, ids, targets[-1])
+        throughputs = masked_throughputs(g, [rank], targets, mode)[0]
     elif len(throughputs) != len(targets):
         raise ValueError(f"sweep measures {len(targets)} targets, "
                          f"got {len(throughputs)} throughputs")
@@ -221,13 +226,15 @@ def elasticity(curve: ThroughputCurve) -> ElasticityResult:
     )
 
 
-def _plan(g: Graph, strategy: str, recompute: bool, seed: int) -> AttackPlan:
+def _plan(g: Graph, strategy: str, recompute: bool, seed: int) -> tuple[AttackPlan, Sequence[int]]:
+    """A trial's plan of every entity and its entries as ids (see _link_ranks)."""
     if strategy == "degree":
-        return plan_targeted_degree(g, g.n, recompute=recompute)
+        plan = plan_targeted_degree(g, g.n, recompute=recompute)
+        return plan, plan.order
     if strategy == "random-node":
-        return plan_random_nodes(g, g.n, seed)
+        return _random_plan(g, "node", g.n, seed)
     if strategy == "random-link":
-        return plan_random_links(g, g.m, seed)
+        return _random_plan(g, "link", g.m, seed)
     raise ValueError(f"unknown attack strategy {strategy!r}")
 
 
@@ -248,7 +255,9 @@ def averaged_elasticity(
     Trial k uses seed + k; the targeted strategy is deterministic, so it is
     forced to a single trial.  All trials sweep the same entity kind and
     total in the same batches, so the sweep is validated and its targets
-    fixed once; only the link ranks are per trial.  One masked_throughputs
+    fixed once; only the link ranks are per trial, taken from the ids the
+    trial's planner drew, so a random trial's links are never resolved from
+    (u, v) pairs.  One masked_throughputs
     call measures every trial, in min(jobs, work items) processes.  Returns
     the mean result (per-trial values and their sample standard deviation
     included), the pointwise-mean curve, and every per-trial curve, built
@@ -259,9 +268,13 @@ def averaged_elasticity(
         raise ValueError("trials must be >= 1")
     if strategy == "degree":
         trials = 1
-    plans = [_plan(g, strategy, recompute, s) for s in range(seed, seed + trials)]
-    targets = _sweep_targets(g, plans[0], max_removal_fraction, steps, mode)[1]
-    ranks = [_link_ranks(g, p, targets[-1]) for p in plans]
+    plans, ranks = [], []
+    for s in range(seed, seed + trials):  # a trial's ids are dropped once ranked
+        plan, ids = _plan(g, strategy, recompute, s)
+        if not plans:
+            targets = _sweep_targets(g, plan, max_removal_fraction, steps, mode)[1]
+        plans.append(plan)
+        ranks.append(_link_ranks(g, plan.kind, ids, targets[-1]))
     measured = masked_throughputs(g, ranks, targets, mode, jobs)
     curves = tuple(sweep(g, plan, max_removal_fraction, steps, mode, throughputs=values)
                    for plan, values in zip(plans, measured))

@@ -88,36 +88,37 @@ def _pair_counts(g: Graph, rank: np.ndarray, targets: Sequence[int]) -> list[int
 
     Newman & Ziff's (2000) percolation pass, run backwards over an attack:
     the links join a union-find (union by size, path halving; Tarjan 1975)
-    in descending rank, and a merge of components of sizes a and b adds
-    2ab ordered pairs.  The running total, read at each target from the
-    largest down, is the sum of s*(s-1) over the masked graph's components.
+    in descending rank, ties in g.edges order, and a merge of components of
+    sizes a and b adds 2ab ordered pairs.  The running total, read at each
+    target from the largest down (targets may come in any order and
+    repeat), is the sum of s*(s-1) over the masked graph's components.  The
+    loop is the pass's whole cost, so both finds are inlined and the ends
+    are read from two int lists.
     """
     order = np.argsort(-rank, kind="stable")
-    links = g.ends.reshape(-1, 2)[order].tolist()
-    ranks = rank[order].tolist()
+    us, vs = g.ends.reshape(-1, 2)[order].T.tolist()
+    kept = (rank.size - np.searchsorted(np.sort(rank), targets)).tolist()  # links with rank >= t
     root = list(range(g.n))
     size = [1] * g.n
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
     pairs = added = 0
     counts = [0] * len(targets)
-    for i in sorted(range(len(targets)), key=targets.__getitem__, reverse=True):
-        while added < len(ranks) and ranks[added] >= targets[i]:
-            u, v = links[added]
-            added += 1
-            a, b = find(u), find(v)
+    for i in sorted(range(len(targets)), key=kept.__getitem__):
+        for a, b in zip(us[added:kept[i]], vs[added:kept[i]]):
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
             if a != b:
-                if size[a] < size[b]:
-                    a, b = b, a
-                root[b] = a
-                pairs += 2 * size[a] * size[b]
-                size[a] += size[b]
-        counts[i] = pairs
+                sa, sb = size[a], size[b]
+                if sa < sb:
+                    root[a] = b
+                    size[b] = sa + sb
+                else:
+                    root[b] = a
+                    size[a] = sa + sb
+                pairs += sa * sb
+        added = kept[i]
+        counts[i] = 2 * pairs
     return counts
 
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from netelast import (
+    averaged_elasticity,
     complete_graph,
+    grid_graph,
     make_graph,
     path_graph,
     plan_random_links,
@@ -70,6 +72,19 @@ def test_planners_refuse_a_count_that_is_not_an_integer():
             with pytest.raises(ValueError, match="count must lie in 0..[45]$"):
                 plan(g, bad)
         assert plan(g, np.int64(2)) == plan(g, 2)
+
+
+def test_random_planners_refuse_a_negative_seed():
+    # random.Random seeds an int by its absolute value, so seed -3 would
+    # repeat seed 3's plan
+    g = path_graph(5)
+    for plan in (plan_random_nodes, plan_random_links):
+        for bad in (-1, -3):
+            with pytest.raises(ValueError, match=f"^seed must be nonnegative, got {bad}$"):
+                plan(g, 2, seed=bad)
+        assert plan(g, 2, seed=0).seed == 0
+    with pytest.raises(ValueError, match="got -3$"):
+        averaged_elasticity(grid_graph(4, 4), "random-node", trials=6, seed=-3, mode="flow-ratio")
 
 
 def test_random_nodes_full_permutation():

@@ -226,6 +226,23 @@ def test_trials_and_jobs_below_one_exit_1(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_negative_seed_of_a_random_attack_exits_1(tmp_path, capsys):
+    outputs = {
+        "elasticity": ["--outdir", str(tmp_path)],
+        "scatter": ["--csv-out", str(tmp_path / "scatter.csv")],
+    }
+    for command, output in outputs.items():
+        for attack in ("random-node", "random-link"):
+            code, _, err = run(
+                capsys,
+                command, "--generate", "grid:4:4", "--attack", attack,
+                "--seed", "-1", "--trials", "2", "--steps", "2", *output,
+            )
+            assert code == 1, (command, attack)
+            assert "error: seed must be nonnegative, got -1" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     target.mkdir()  # the final rename onto a directory fails

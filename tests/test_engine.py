@@ -2,10 +2,11 @@ import itertools
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netelast import (
@@ -31,6 +32,9 @@ from netelast import (
     throughput,
     wheel_graph,
 )
+from netelast import engine
+from netelast.engine import _link_ranks, _sweep_targets
+from netelast.graph import _link_ids, _node_ids
 
 
 def make_curve(samples, mrf=0.8, steps=80, mode="flow-ratio", kind="node"):
@@ -271,6 +275,7 @@ def test_averaged_jobs_do_not_change_result():
     # the earlier pairs at the default steps, where rounded batch targets
     # merge and a trial holds many work items; the new pairs at steps=5
     for strategy, mode, steps in (("random-node", "flow-ratio", 80),
+                                  ("random-link", "flow-ratio", 80),
                                   ("random-link", "bottleneck", 80),
                                   ("degree", "bottleneck", 5),
                                   ("random-node", "bottleneck", 5)):
@@ -519,3 +524,32 @@ def test_flow_ratio_sweep_invariant_under_relabeling(g, kind, steps, fraction, s
         order = tuple((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in plan.order)
     curve = sweep(g, plan, fraction, steps, "flow-ratio")
     assert sweep(moved, replace(plan, order=order), fraction, steps, "flow-ratio") == curve
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    g=graphs(),
+    strategy=st.sampled_from(["random-node", "random-link"]),
+    mode=st.sampled_from(["bottleneck", "flow-ratio"]),
+    fraction=st.sampled_from([0.1, 0.5, 0.8, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+@example(g=make_graph(3, []), strategy="random-link", mode="flow-ratio", fraction=0.8, seed=0)
+@example(g=path_graph(2), strategy="random-link", mode="bottleneck", fraction=1.0, seed=1)
+@example(g=path_graph(2), strategy="random-link", mode="flow-ratio", fraction=0.1, seed=2)
+def test_a_study_ranks_its_trials_as_sweep_ranks_their_plans(g, strategy, mode, fraction, seed):
+    # a study ranks each random trial from the ids its shuffle drew; sweep
+    # resolves the plan's node ids or (u, v) links first
+    planner, resolve = ((plan_random_nodes, _node_ids) if strategy == "random-node"
+                        else (plan_random_links, _link_ids))
+    with mock.patch.object(engine, "masked_throughputs", wraps=engine.masked_throughputs) as spy:
+        averaged_elasticity(g, strategy, trials=3, seed=seed, mode=mode,
+                            max_removal_fraction=fraction, steps=5)
+    measured = spy.call_args.args[1]
+    assert len(measured) == 3
+    for k, rank in enumerate(measured):
+        plan = planner(g, g.n if strategy == "random-node" else g.m, seed + k)
+        count = _sweep_targets(g, plan, fraction, 5, mode)[1][-1]
+        expected = _link_ranks(g, plan.kind, resolve(g, plan.order[:count]), count)
+        assert rank.dtype == expected.dtype == np.int64
+        assert rank.tolist() == expected.tolist()

@@ -45,7 +45,7 @@ def degree_attack_keep(g, fraction: float) -> np.ndarray:
     the nodes, as many as a sweep of that width removes."""
     plan = plan_targeted_degree(g, g.n)
     count = _sweep_targets(g, plan, fraction, 1, "bottleneck")[1][-1]
-    return _link_ranks(g, plan, count) >= count
+    return _link_ranks(g, plan.kind, plan.order, count) >= count
 
 
 def measure(g, keep: np.ndarray | None = None) -> tuple[float, int, float]:
