@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import heapq
 import numbers
-import random
 from dataclasses import dataclass
 
+from .generators import _rng
 from .graph import Graph
 
 __all__ = [
@@ -71,14 +71,12 @@ def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> Attack
 
 def _random_plan(g: Graph, kind: str, count: int, seed: int) -> tuple[AttackPlan, list[int]]:
     """The plan of plan_random_nodes or plan_random_links, by kind, and the ids
-    its shuffle drew.  random.Random seeds an int by its absolute value, so a
-    negative seed, which would repeat its positive twin's plan, is refused."""
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    its shuffle drew.  A negative seed is refused (_rng)."""
+    rng = _rng(seed)
     total = g.n if kind == "node" else g.m
     _check_count(count, total)
     ids = list(range(total))
-    random.Random(seed).shuffle(ids)
+    rng.shuffle(ids)
     del ids[count:]
     order = tuple(ids) if kind == "node" else tuple(map(g.edges.__getitem__, ids))
     return AttackPlan(kind=kind, strategy=f"random-{kind}", order=order, seed=seed), ids

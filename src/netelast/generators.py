@@ -71,13 +71,23 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return make_graph(rows * cols, pairs)
 
 
+def _rng(seed: int) -> random.Random:
+    """A random.Random for seed.  It seeds an int by its absolute value, so
+    a negative seed, which would repeat its positive twin's draws, is
+    refused."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return random.Random(seed)
+
+
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
-    """G(n, p): each of the n(n-1)/2 links present independently with probability p."""
+    """G(n, p): each of the n(n-1)/2 links present independently with
+    probability p.  A negative seed is refused."""
     if n < 1:
         raise ValueError("erdos_renyi requires n >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return make_graph(n, pairs)
 
@@ -89,13 +99,13 @@ def scale_free_ba(n: int, seed_nodes: int, links_per_node: int, seed: int = 0) -
     chosen with probability proportional to current degree (lottery over a
     degree-repeated node list; collisions are re-drawn so the graph stays
     simple).  When every existing node still has degree zero the draw falls
-    back to uniform over existing nodes.
+    back to uniform over existing nodes.  A negative seed is refused.
     """
     if seed_nodes < 1 or n < seed_nodes:
         raise ValueError("scale_free_ba requires 1 <= seed_nodes <= n")
     if not 1 <= links_per_node <= seed_nodes:
         raise ValueError("scale_free_ba requires 1 <= links_per_node <= seed_nodes")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     pairs = [(i, j) for i in range(seed_nodes) for j in range(i + 1, seed_nodes)]
     lottery: list[int] = []
     for u, v in pairs:

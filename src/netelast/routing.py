@@ -25,13 +25,12 @@ CSR by a link mask.  Flow-ratio mode needs only deliverable pair counts, and
 those come from one reverse union-find pass per sweep that adds the links
 back in descending rank.  So routing also cuts a study's trials into work
 items and runs them, in a process pool when asked.  A work item is a
-flow-ratio trial, a bottleneck sample, or a root share of a sample too
-large for one worker.
+flow-ratio trial, a bottleneck sample, or one of the jobs root shares of
+the intact sample, the largest of every study.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -353,8 +352,8 @@ def _init_worker(*study) -> None:
 
 
 # A work item: (trial, its targets, share, shares).  A flow-ratio trial
-# holds all its targets, a bottleneck sample one, and only a bottleneck
-# sample is cut into more than one root share.
+# holds all its targets, a bottleneck sample one, and only the intact
+# bottleneck sample (target 0) is cut into more than one root share.
 _Item = tuple[int, tuple[int, ...], int, int]
 
 
@@ -373,28 +372,12 @@ def _measure(item: _Item, study: tuple = ()) -> list[float] | FlowAssignment:
     return [fa.delivered / fa.max_link_load if fa.max_link_load else 0.0]
 
 
-def _shares(samples: list[tuple[int, tuple[int, ...]]], ranks: Sequence[np.ndarray],
-            jobs: int) -> list[_Item]:
-    """The bottleneck samples as work items for jobs workers, in their order.
-
-    A route costs about (kept links)**2: a search per root over the kept
-    links.  Run largest first (Graham 1969), a study cannot finish before
-    its largest item, so a sample that costs more than the fair share
-    sum(costs) / jobs is cut into min(jobs, ceil(cost / fair)) root shares.
-    """
-    costs = [np.count_nonzero(ranks[k] >= group[0]) ** 2 for k, group in samples]
-    fair = sum(costs) / jobs
-    return [(k, group, part, parts)
-            for (k, group), cost in zip(samples, costs)
-            for parts in [min(jobs, math.ceil(cost / fair)) if cost > fair else 1]
-            for part in range(parts)]
-
-
 def _fold(items: list[_Item], values: Iterable[list[float] | FlowAssignment]) -> dict:
     """Each sample's or trial's values by (trial, group), read in item
     order as they arrive.  A root share's loads are added to its sample's,
     and at the sample's last share its throughput is taken from the sum,
-    so only the loads of samples in flight are held."""
+    0.0 when the sum is empty or 0, so only the loads of samples in flight
+    are held."""
     measured, sums = {}, {}
     for (k, group, part, parts), value in zip(items, values):
         if parts > 1:
@@ -402,7 +385,7 @@ def _fold(items: list[_Item], values: Iterable[list[float] | FlowAssignment]) ->
             if part < parts - 1:
                 sums[k, group] = loads
                 continue
-            top = int(loads.max())
+            top = int(loads.max(initial=0))
             value = [value.delivered / top if top else 0.0]
         measured[(k, group)] = value
     return measured
@@ -425,18 +408,24 @@ def masked_throughputs(
 
     A work item is one bottleneck sample or one flow-ratio trial.  Target 0
     keeps every link, so the intact route is one item shared by all trials.
-    With jobs > 1, a bottleneck sample too large for one worker is cut into
-    root shares (_shares), whose exact loads the parent sums as they
-    arrive.  Items run largest first in min(jobs, items) processes; a
+    The samples are nested, so the intact one is the largest of the study:
+    in bottleneck mode it is cut into jobs root shares, whose exact loads
+    the parent sums as they arrive, and every other sample runs whole.
+    Items run largest first (Graham 1969) in min(jobs, items) processes; a
     pool's workers get g and the ranks once, and fork after scipy is
-    imported.  jobs never changes the values.
+    imported.  Each share repeats the intact route's set-up, so a study
+    pays jobs - 1 extra set-ups.  jobs never changes the values; a rank
+    array not of shape (g.m,) or with a negative rank is refused.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if any(np.min(rank, initial=0) < 0 for rank in ranks):
-        raise ValueError("ranks must be nonnegative")
+    for rank in ranks:
+        if np.shape(rank) != (g.m,):
+            raise ValueError(f"ranks must have shape ({g.m},), got {np.shape(rank)}")
+        if np.min(rank, initial=0) < 0:
+            raise ValueError("ranks must be nonnegative")
     groups = [tuple(targets)] if mode == "flow-ratio" else [(t,) for t in targets]
 
     def item(k: int, group: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -444,10 +433,9 @@ def masked_throughputs(
 
     whole = sorted({item(k, group) for k in range(len(ranks)) for group in groups},
                    key=lambda it: (it[1][0], it[0]))
-    if mode == "bottleneck" and jobs > 1:
-        items = _shares(whole, ranks, jobs)
-    else:
-        items = [(k, group, 0, 1) for k, group in whole]
+    items = [(k, group, part, parts) for k, group in whole
+             for parts in [jobs if mode == "bottleneck" and group == (0,) else 1]
+             for part in range(parts)]
     study = (g, ranks, mode)
     workers = min(jobs, len(items))
     if workers <= 1:

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netelast import load_edge_list
@@ -243,6 +243,25 @@ def test_negative_seed_of_a_random_attack_exits_1(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_negative_seed_of_a_seeded_generator_exits_1(tmp_path, capsys):
+    runs = [["generate", "ba:50:3:3", "-o", str(tmp_path / "g.txt")]]
+    for spec in ("ba:50:3:3", "er:30:0.2"):
+        runs += [
+            ["elasticity", "--generate", spec, "--attack", "degree", "--steps", "2",
+             "--outdir", str(tmp_path)],
+            ["scatter", "--generate", spec, "--attack", "degree", "--steps", "2",
+             "--csv-out", str(tmp_path / "scatter.csv")],
+            ["spectral", "--generate", spec],
+            ["metrics", "--generate", spec],
+            ["ndd", "--generate", spec],
+        ]
+    for argv in runs:
+        code, out, err = run(capsys, *argv, "--seed", "-5")
+        assert code == 1, argv
+        assert not out and "error: seed must be nonnegative, got -5" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     target.mkdir()  # the final rename onto a directory fails
@@ -267,6 +286,10 @@ def test_readme_command_lines_parse():
     pairs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=30),
     seed=st.integers(0, 1000),
 )
+# graphs of 1 and 3 nodes and no links: the intact sample's root shares
+# sum to an empty load array
+@example(pairs=[(0, 0)], seed=0)
+@example(pairs=[(0, 0), (1, 1), (2, 2)], seed=0)
 def test_jobs_never_change_output_bytes(attack, mode, pairs, seed):
     # few examples: every --jobs above 1 starts a process pool
     with tempfile.TemporaryDirectory() as tmp:

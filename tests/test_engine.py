@@ -286,9 +286,9 @@ def test_averaged_jobs_do_not_change_result():
         )
         # one work item per bottleneck sample (the intact one shared by all
         # trials), one per flow-ratio trial; a pool larger than that runs
-        # only where it stays a few processes.  At jobs > 1 a sample that
-        # costs more than a fair share runs as root shares, so the degree
-        # study's 6 samples run as 7, 8 and 12 items at jobs 2, 3 and 7.
+        # only where it stays a few processes.  At jobs > 1 the intact
+        # bottleneck sample runs as jobs root shares, so the degree study's
+        # 6 samples run as 7, 8 and 12 items at jobs 2, 3 and 7.
         items = (1 + sum(len(c.samples) - 1 for c in serial.trial_curves)
                  if mode == "bottleneck" else 4)
         for jobs in (2, 3, items + 1) if items < 8 else (2, 3):
@@ -320,6 +320,18 @@ def test_a_dominant_sample_is_routed_in_root_shares(monkeypatch):
     parallel = averaged_elasticity(g, "degree", steps=1, max_removal_fraction=0.2, jobs=2)
     target = mapped[2][1]
     assert mapped == [(0, (0,), 0, 2), (0, (0,), 1, 2), (0, target, 0, 1)]
+    assert parallel.result == serial.result
+    assert parallel.trial_curves == serial.trial_curves
+    # no cost is guessed: in a default-steps study, where no sample holds
+    # most of the work, the intact sample still runs as the two shares and
+    # every other sample whole, in target order
+    g = grid_graph(6, 6)
+    mapped.clear()
+    serial = averaged_elasticity(g, "degree")
+    parallel = averaged_elasticity(g, "degree", jobs=2)
+    assert mapped[:2] == [(0, (0,), 0, 2), (0, (0,), 1, 2)]
+    assert len(mapped) == 31 and all(parts == 1 for _, _, _, parts in mapped[2:])
+    assert [group for _, group, _, _ in mapped[2:]] == sorted(group for _, group, _, _ in mapped[2:])
     assert parallel.result == serial.result
     assert parallel.trial_curves == serial.trial_curves
 
@@ -553,3 +565,26 @@ def test_a_study_ranks_its_trials_as_sweep_ranks_their_plans(g, strategy, mode, 
         expected = _link_ranks(g, plan.kind, resolve(g, plan.order[:count]), count)
         assert rank.dtype == expected.dtype == np.int64
         assert rank.tolist() == expected.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    g=graphs(),
+    strategy=st.sampled_from(["degree", "random-node", "random-link"]),
+    mode=st.sampled_from(["bottleneck", "flow-ratio"]),
+    trials=st.integers(2, 4),
+    steps=st.sampled_from([1, 5, 80]),
+    seed=st.integers(0, 10**4),
+)
+@example(g=make_graph(9, [(1, 2), (2, 7), (3, 6), (4, 6), (5, 7), (6, 7), (6, 8)]),
+         strategy="random-link", mode="bottleneck", trials=2, steps=80, seed=2220)
+def test_every_study_curve_stays_in_the_unit_range(g, strategy, mode, trials, steps, seed):
+    # every trial curve and the mean curve read in [0, 1], and a flow-ratio
+    # curve never rises, as its samples are nested; E's own bound is not
+    # asserted here (the example above is a study whose E exceeds 1)
+    study = averaged_elasticity(g, strategy, trials=trials, seed=seed, mode=mode, steps=steps)
+    for curve in (*study.trial_curves, study.mean_curve):
+        values = [tp for _, tp in curve.samples]
+        assert all(0.0 <= tp <= 1.0 for tp in values)
+        if mode == "flow-ratio":
+            assert all(a >= b for a, b in zip(values, values[1:]))

@@ -53,6 +53,18 @@ def test_generators_reproducible():
         assert a.edges != c.edges
 
 
+def test_negative_seeds_are_refused():
+    # random.Random seeds an int by its absolute value, so seed -5 would
+    # repeat the graph of seed 5
+    for build in (lambda seed: erdos_renyi(30, 0.2, seed=seed),
+                  lambda seed: scale_free_ba(50, 3, 3, seed=seed),
+                  lambda seed: generate("ba", (50, 3, 3), seed=seed)):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -5$"):
+            build(-5)
+        assert build(0).m > 0
+    assert generate("grid", (2, 2), seed=-5).m == 4  # unseeded kinds ignore it
+
+
 def test_erdos_renyi_extremes():
     assert erdos_renyi(10, 0.0, seed=1).m == 0
     assert erdos_renyi(10, 1.0, seed=1).m == 45

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -234,7 +235,7 @@ def test_weighted_core_in_several_blocks(monkeypatch):
 
 
 def test_root_shares_sum_to_one_route(monkeypatch):
-    # a sample too large for one worker is routed in root shares, and their
+    # at jobs > 1 the intact sample is routed in root shares, and their
     # exact loads sum to the route's for any number of shares: over pendant
     # trees (whose bridge loads share 0 alone adds), a forest with no core
     # to share, three components around isolated nodes, and a masked
@@ -350,6 +351,26 @@ def test_masked_throughputs_refuse_negative_ranks():
     for mode in MODES:
         with pytest.raises(ValueError, match="ranks must be nonnegative"):
             masked_throughputs(g, [np.zeros(g.m, dtype=np.int64), np.array([0, -1])], [0, 1], mode)
+
+
+def test_masked_throughputs_refuse_ranks_of_another_shape(monkeypatch):
+    # a short rank array would mask the wrong links and a long one index
+    # past them; both are refused in the parent, before a pool starts
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    g = grid_graph(3, 3)
+    assert masked_throughputs(g, [np.zeros(g.m, dtype=np.int64)], [0, 1], "flow-ratio") == [[72, 0]]
+    for mode in MODES:
+        for jobs in (1, 2):
+            for shape in ((5,), (20,), (g.m, 1), ()):
+                ranks = [np.zeros(g.m, dtype=np.int64), np.zeros(shape, dtype=np.int64)]
+                with pytest.raises(ValueError, match=rf"^ranks must have shape \(12,\), "
+                                                     rf"got {re.escape(str(shape))}$"):
+                    masked_throughputs(g, ranks, [0, 1], mode, jobs)
 
 
 def test_link_load_is_integer_array():
