@@ -25,12 +25,13 @@ CSR by a link mask.  Flow-ratio mode needs only deliverable pair counts, and
 those come from one reverse union-find pass per sweep that adds the links
 back in descending rank.  So routing also cuts a study's trials into work
 items and runs them, in a process pool when asked.  A work item is a
-flow-ratio trial, a bottleneck sample, or one of the jobs root shares of
-the intact sample, the largest of every study.
+flow-ratio trial, a bottleneck sample, or a root share of a sample too
+large for one worker.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -352,8 +353,8 @@ def _init_worker(*study) -> None:
 
 
 # A work item: (trial, its targets, share, shares).  A flow-ratio trial
-# holds all its targets, a bottleneck sample one, and only the intact
-# bottleneck sample (target 0) is cut into more than one root share.
+# holds all its targets, a bottleneck sample one, and only a bottleneck
+# sample is cut into more than one root share.
 _Item = tuple[int, tuple[int, ...], int, int]
 
 
@@ -376,8 +377,7 @@ def _fold(items: list[_Item], values: Iterable[list[float] | FlowAssignment]) ->
     """Each sample's or trial's values by (trial, group), read in item
     order as they arrive.  A root share's loads are added to its sample's,
     and at the sample's last share its throughput is taken from the sum,
-    0.0 when the sum is empty or 0, so only the loads of samples in flight
-    are held."""
+    so only the loads of samples in flight are held."""
     measured, sums = {}, {}
     for (k, group, part, parts), value in zip(items, values):
         if parts > 1:
@@ -385,7 +385,7 @@ def _fold(items: list[_Item], values: Iterable[list[float] | FlowAssignment]) ->
             if part < parts - 1:
                 sums[k, group] = loads
                 continue
-            top = int(loads.max(initial=0))
+            top = int(loads.max())
             value = [value.delivered / top if top else 0.0]
         measured[(k, group)] = value
     return measured
@@ -408,14 +408,12 @@ def masked_throughputs(
 
     A work item is one bottleneck sample or one flow-ratio trial.  Target 0
     keeps every link, so the intact route is one item shared by all trials.
-    The samples are nested, so the intact one is the largest of the study:
-    in bottleneck mode it is cut into jobs root shares, whose exact loads
-    the parent sums as they arrive, and every other sample runs whole.
-    Items run largest first (Graham 1969) in min(jobs, items) processes; a
-    pool's workers get g and the ranks once, and fork after scipy is
-    imported.  Each share repeats the intact route's set-up, so a study
-    pays jobs - 1 extra set-ups.  jobs never changes the values; a rank
-    array not of shape (g.m,) or with a negative rank is refused.
+    With jobs > 1, a bottleneck sample too large for one worker is cut into
+    root shares, whose exact loads the parent sums as they arrive.  Items
+    run largest first in min(jobs, items) processes; a pool's workers get g
+    and the ranks once, and fork after scipy is imported.  jobs never
+    changes the values; a rank array not of shape (g.m,) or with a negative
+    rank is refused.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
@@ -433,8 +431,16 @@ def masked_throughputs(
 
     whole = sorted({item(k, group) for k in range(len(ranks)) for group in groups},
                    key=lambda it: (it[1][0], it[0]))
-    items = [(k, group, part, parts) for k, group in whole
-             for parts in [jobs if mode == "bottleneck" and group == (0,) else 1]
+    # A route costs about (kept links)**2, a search per root over them.
+    # Run largest first (Graham 1969), a study ends no sooner than its
+    # largest item, so a bottleneck sample above the fair share
+    # sum(costs) / jobs is cut into ceil(cost / fair) root shares, at most
+    # jobs and one per node.
+    costs = [np.count_nonzero(ranks[k] >= group[0]) ** 2 if mode == "bottleneck" else 0
+             for k, group in whole]
+    fair = sum(costs) / jobs
+    items = [(k, group, part, parts) for (k, group), cost in zip(whole, costs)
+             for parts in [min(jobs, g.n, math.ceil(cost / fair)) if cost > fair else 1]
              for part in range(parts)]
     study = (g, ranks, mode)
     workers = min(jobs, len(items))

@@ -286,8 +286,7 @@ def test_readme_command_lines_parse():
     pairs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=30),
     seed=st.integers(0, 1000),
 )
-# graphs of 1 and 3 nodes and no links: the intact sample's root shares
-# sum to an empty load array
+# graphs of 1 and 3 nodes and no links, whose samples all cost nothing
 @example(pairs=[(0, 0)], seed=0)
 @example(pairs=[(0, 0), (1, 1), (2, 2)], seed=0)
 def test_jobs_never_change_output_bytes(attack, mode, pairs, seed):

@@ -286,9 +286,9 @@ def test_averaged_jobs_do_not_change_result():
         )
         # one work item per bottleneck sample (the intact one shared by all
         # trials), one per flow-ratio trial; a pool larger than that runs
-        # only where it stays a few processes.  At jobs > 1 the intact
-        # bottleneck sample runs as jobs root shares, so the degree study's
-        # 6 samples run as 7, 8 and 12 items at jobs 2, 3 and 7.
+        # only where it stays a few processes.  At jobs > 1 a sample that
+        # costs more than a fair share runs as root shares, so the degree
+        # study's 6 samples run as 7, 8 and 12 items at jobs 2, 3 and 7.
         items = (1 + sum(len(c.samples) - 1 for c in serial.trial_curves)
                  if mode == "bottleneck" else 4)
         for jobs in (2, 3, items + 1) if items < 8 else (2, 3):
@@ -322,18 +322,33 @@ def test_a_dominant_sample_is_routed_in_root_shares(monkeypatch):
     assert mapped == [(0, (0,), 0, 2), (0, (0,), 1, 2), (0, target, 0, 1)]
     assert parallel.result == serial.result
     assert parallel.trial_curves == serial.trial_curves
-    # no cost is guessed: in a default-steps study, where no sample holds
-    # most of the work, the intact sample still runs as the two shares and
-    # every other sample whole, in target order
+    # at jobs=4 a steps=2 study's second sample also costs more than the
+    # fair share, so it runs as two shares behind the intact sample's three
+    mapped.clear()
+    parallel = averaged_elasticity(g, "degree", steps=2, max_removal_fraction=0.2, jobs=4)
+    first = mapped[3][1]
+    assert mapped == [(0, (0,), 0, 3), (0, (0,), 1, 3), (0, (0,), 2, 3),
+                      (0, first, 0, 2), (0, first, 1, 2), (0, target, 0, 1)]
+    assert parallel.trial_curves == averaged_elasticity(
+        g, "degree", steps=2, max_removal_fraction=0.2).trial_curves
+    # a default-steps study, where no sample holds a fair share, maps every
+    # sample whole, in target order
     g = grid_graph(6, 6)
     mapped.clear()
     serial = averaged_elasticity(g, "degree")
     parallel = averaged_elasticity(g, "degree", jobs=2)
-    assert mapped[:2] == [(0, (0,), 0, 2), (0, (0,), 1, 2)]
-    assert len(mapped) == 31 and all(parts == 1 for _, _, _, parts in mapped[2:])
-    assert [group for _, group, _, _ in mapped[2:]] == sorted(group for _, group, _, _ in mapped[2:])
+    assert len(mapped) == 30 and all(parts == 1 for _, _, _, parts in mapped)
+    assert [group for _, group, _, _ in mapped] == sorted(group for _, group, _, _ in mapped)
     assert parallel.result == serial.result
     assert parallel.trial_curves == serial.trial_curves
+    # a sample is cut into at most one share per node: grid 2x2 at jobs=8
+    # maps its intact sample as 4 shares, not 8
+    g = grid_graph(2, 2)
+    mapped.clear()
+    parallel = averaged_elasticity(g, "degree", jobs=8)
+    assert [it for it in mapped if it[:2] == (0, (0,))] == [(0, (0,), p, 4) for p in range(4)]
+    assert max(parts for _, _, _, parts in mapped) == 4
+    assert parallel.trial_curves == averaged_elasticity(g, "degree").trial_curves
 
 
 @pytest.mark.parametrize("strategy, mode, trials", [

@@ -235,7 +235,7 @@ def test_weighted_core_in_several_blocks(monkeypatch):
 
 
 def test_root_shares_sum_to_one_route(monkeypatch):
-    # at jobs > 1 the intact sample is routed in root shares, and their
+    # a sample too large for one worker is routed in root shares, and their
     # exact loads sum to the route's for any number of shares: over pendant
     # trees (whose bridge loads share 0 alone adds), a forest with no core
     # to share, three components around isolated nodes, and a masked
