@@ -342,7 +342,7 @@ def test_a_dominant_sample_is_routed_in_root_shares(monkeypatch):
     assert parallel.result == serial.result
     assert parallel.trial_curves == serial.trial_curves
     # a sample is cut into at most one share per node: grid 2x2 at jobs=8
-    # maps its intact sample as 4 shares, not 8
+    # maps its intact sample as 4 shares, where the estimate alone gives 7
     g = grid_graph(2, 2)
     mapped.clear()
     parallel = averaged_elasticity(g, "degree", jobs=8)
