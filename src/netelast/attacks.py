@@ -45,52 +45,62 @@ def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> Attack
 
     With recompute (the default, the stricter worst case) degrees are
     re-evaluated on the degraded graph after every removal; otherwise the
-    initial degrees fix the whole order.  One lazy max-heap of (-degree, id)
-    serves both; popped entries with a stale degree are skipped: O((n+m) log n).
+    initial degrees fix the whole order.  One lazy min-heap of int keys
+    v - d*n (node v, degree d), which sort as (-d, v) since 0 <= v < n, serves
+    both; a popped key no longer its node's is skipped: O((n+m) log n).
     """
-    _check_count(count, g.n)
-    indptr, indices, _ = g.csr
-    degree = g.degrees()
-    heap = [(-d, v) for v, d in enumerate(degree)]
+    n = g.n
+    _check_count(count, n)
+    indptr, indices = g.csr[0].tolist(), g.csr[1].tolist()
+    key = [v - d * n for v, d in enumerate(g.degrees())]  # n once removed
+    heap = key.copy()
     heapq.heapify(heap)
-    alive = [True] * g.n
     order = []
     while len(order) < count:
-        d, v = heapq.heappop(heap)
-        if -d != degree[v]:  # stale; a removed node has no entry left
+        k = heapq.heappop(heap)
+        v = k % n
+        if k != key[v]:  # stale degree, or v removed
             continue
         order.append(v)
-        alive[v] = False
+        key[v] = n
         if recompute:
-            for u in indices[indptr[v]:indptr[v + 1]].tolist():
-                if alive[u]:
-                    degree[u] -= 1
-                    heapq.heappush(heap, (-degree[u], u))
+            for u in indices[indptr[v]:indptr[v + 1]]:
+                if key[u] < n:  # alive: its degree drops by one
+                    key[u] += n
+                    heapq.heappush(heap, key[u])
     return AttackPlan(kind="node", strategy="degree", order=tuple(order))
 
 
 def _random_plan(g: Graph, kind: str, count: int, seed: int) -> tuple[AttackPlan, list[int]]:
     """The plan of plan_random_nodes or plan_random_links, by kind, and the ids
-    its shuffle drew.  A negative seed is refused (_rng)."""
-    rng = _rng(seed)
+    its shuffle drew: random.Random(seed).shuffle's draws, inlined and so
+    pinned to getrandbits (MT19937).  _rng refuses a bad seed."""
+    getrandbits = _rng(seed).getrandbits
     total = g.n if kind == "node" else g.m
     _check_count(count, total)
     ids = list(range(total))
-    rng.shuffle(ids)
+    # shuffle, _randbelow inlined: for i = total-1 .. 1 swap ids[i], ids[j], j
+    # drawn in k = (i + 1).bit_length() bits until j <= i; one k per run of i
+    for k in range(total.bit_length(), 1, -1):
+        for i in range(min(total, (1 << k) - 1) - 1, (1 << k - 1) - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            ids[i], ids[j] = ids[j], ids[i]
     del ids[count:]
     order = tuple(ids) if kind == "node" else tuple(map(g.edges.__getitem__, ids))
-    return AttackPlan(kind=kind, strategy=f"random-{kind}", order=order, seed=seed), ids
+    return AttackPlan(kind=kind, strategy=f"random-{kind}", order=order, seed=int(seed)), ids
 
 
 def plan_random_nodes(g: Graph, count: int, seed: int) -> AttackPlan:
     """Uniform node sample without replacement: the first count ids of
-    range(n) after random.Random(seed).shuffle, a Fisher-Yates shuffle.
-    A negative seed is refused."""
+    range(n) after random.Random(seed).shuffle, a Fisher-Yates shuffle,
+    inlined and pinned to getrandbits.  The seed is a nonnegative integer."""
     return _random_plan(g, "node", count, seed)[0]
 
 
 def plan_random_links(g: Graph, count: int, seed: int) -> AttackPlan:
     """Uniform link sample without replacement: the links at the first count
-    ids of range(m) after random.Random(seed).shuffle, a Fisher-Yates shuffle.
-    A negative seed is refused."""
+    ids of range(m) after random.Random(seed).shuffle, a Fisher-Yates shuffle,
+    inlined and pinned to getrandbits.  The seed is a nonnegative integer."""
     return _random_plan(g, "link", count, seed)[0]

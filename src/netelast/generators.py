@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import random
 from typing import Sequence
 
@@ -72,12 +73,14 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 
 def _rng(seed: int) -> random.Random:
-    """A random.Random for seed.  It seeds an int by its absolute value, so
-    a negative seed, which would repeat its positive twin's draws, is
-    refused."""
+    """A random.Random for seed, an int or numpy integer; any other seed, True
+    too (seed 1's twin), is refused.  It seeds an int by its absolute value, so
+    a negative seed, which would repeat its positive twin's draws, is refused."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    return random.Random(seed)
+    return random.Random(int(seed))
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:

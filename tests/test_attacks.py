@@ -1,5 +1,10 @@
+import heapq
+import random
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netelast import (
     averaged_elasticity,
@@ -10,8 +15,10 @@ from netelast import (
     plan_random_links,
     plan_random_nodes,
     plan_targeted_degree,
+    scale_free_ba,
     star_graph,
 )
+from netelast.attacks import _random_plan
 
 
 def test_targeted_star_hits_hub_first():
@@ -150,3 +157,91 @@ def test_plan_orders_have_no_duplicates():
         plan_random_links(g, 8, seed=4),
     ):
         assert len(set(plan.order)) == len(plan.order)
+
+
+def _tuple_heap_order(g, count, recompute):
+    """The degree planner as first written, keyed by (-degree, id) tuples;
+    the reference the int-keyed heap must match."""
+    indptr, indices, _ = g.csr
+    degree = g.degrees()
+    heap = [(-d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
+    alive = [True] * g.n
+    order = []
+    while len(order) < count:
+        d, v = heapq.heappop(heap)
+        if -d != degree[v]:
+            continue
+        order.append(v)
+        alive[v] = False
+        if recompute:
+            for u in indices[indptr[v]:indptr[v + 1]].tolist():
+                if alive[u]:
+                    degree[u] -= 1
+                    heapq.heappush(heap, (-degree[u], u))
+    return tuple(order)
+
+
+@st.composite
+def degree_graphs(draw):
+    n = draw(st.integers(0, 60))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=150)) if n else []
+    return make_graph(n, pairs)  # nodes no pair names stay isolated
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=degree_graphs())
+@example(g=make_graph(0, []))
+@example(g=make_graph(5, [(0, 1)]))
+def test_degree_plan_matches_the_tuple_heap(g):
+    for recompute in (True, False):
+        for count in range(g.n + 1):
+            want = _tuple_heap_order(g, count, recompute)
+            assert plan_targeted_degree(g, count, recompute).order == want
+
+
+@pytest.mark.parametrize("g", [scale_free_ba(1024, 3, 3, seed=42), grid_graph(32, 32)],
+                         ids=["ba-1024", "grid-32x32"])
+def test_full_degree_plans_match_the_tuple_heap(g):
+    for recompute in (True, False):
+        assert plan_targeted_degree(g, g.n, recompute).order == _tuple_heap_order(g, g.n, recompute)
+
+
+def _check_random_plan_is_a_shuffle_prefix(total, count, seed):
+    # a random plan is the first count ids of random.Random(seed).shuffle
+    # over range(total): nodes of an empty graph, links of a path
+    want = list(range(total))
+    random.Random(seed).shuffle(want)
+    del want[count:]
+    for kind, g in (("node", make_graph(total, [])), ("link", path_graph(total + 1))):
+        plan, ids = _random_plan(g, kind, count, seed)
+        assert ids == want
+        assert plan.order == (tuple(ids) if kind == "node" else tuple((i, i + 1) for i in ids))
+        assert plan.seed == seed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 42, 61, 2**32 + 5, 2**70])
+def test_random_plans_are_random_shuffle_prefixes(seed):
+    totals = {0, 1, 2, 3, 1984} | {2**k + d for k in range(13) for d in (-1, 0, 1)}
+    for total in sorted(totals):
+        for count in {total, total // 3}:
+            _check_random_plan_is_a_shuffle_prefix(total, count, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(total=st.integers(0, 3000), data=st.data(), seed=st.integers(0, 2**64))
+def test_random_plans_are_random_shuffle_prefixes_property(total, data, seed):
+    count = data.draw(st.integers(0, total))
+    _check_random_plan_is_a_shuffle_prefix(total, count, seed)
+
+
+def test_random_planners_take_integer_seeds_only():
+    g = grid_graph(4, 4)
+    for plan in (plan_random_nodes, plan_random_links):
+        by_numpy = plan(g, 5, np.int64(3))
+        assert by_numpy == plan(g, 5, 3) and type(by_numpy.seed) is int
+        for bad in (3.0, 3.5, True, "3", np.float64(3)):  # True would repeat seed 1
+            with pytest.raises(ValueError) as err:
+                plan(g, 5, bad)
+            assert str(err.value) == f"seed must be an integer, got {bad!r}"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from netelast import (
@@ -63,6 +64,17 @@ def test_negative_seeds_are_refused():
             build(-5)
         assert build(0).m > 0
     assert generate("grid", (2, 2), seed=-5).m == 4  # unseeded kinds ignore it
+
+
+def test_seeds_must_be_integers():
+    for build in (lambda seed: erdos_renyi(30, 0.2, seed=seed),
+                  lambda seed: scale_free_ba(30, 3, 3, seed=seed),
+                  lambda seed: generate("ba", (30, 3, 3), seed=seed)):
+        assert build(np.int64(2)).edges == build(2).edges
+        for bad in (2.0, 2.5, True, "2"):  # True would repeat seed 1
+            with pytest.raises(ValueError) as err:
+                build(bad)
+            assert str(err.value) == f"seed must be an integer, got {bad!r}"
 
 
 def test_erdos_renyi_extremes():
