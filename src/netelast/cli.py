@@ -20,7 +20,7 @@ from .engine import (
 from .generators import generate, parse_generator_spec
 from .graph import Graph, dump_edge_list, load_edge_list
 from .metrics import assortativity, degree_histogram, summarize
-from .routing import DEFAULT_MODE, MODES
+from .routing import DEFAULT_MODE, MODES, _usable_cpus
 from .spectral import DEFAULT_SIZE_GUARD, eigenvalues, laplacian
 
 
@@ -69,14 +69,6 @@ def _add_source_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=42, help="run seed (default 42)")
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _add_sweep_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attack", choices=STRATEGIES, default="degree")
     p.add_argument("--mode", choices=MODES, default=DEFAULT_MODE)
@@ -88,8 +80,8 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--static-degree", action="store_true",
                    help="rank the targeted attack by initial degrees only")
     p.add_argument("--jobs", type=int, default=_usable_cpus(),
-                   help="processes that share the samples and trials of a study "
-                        "(default: the CPUs this process may use, %(default)s here)")
+                   help="processes that share a study's samples and trials, at most the "
+                        "CPUs this process may use (default: all of them, %(default)s here)")
 
 
 def _study(g: Graph, args) -> AveragedSweep:

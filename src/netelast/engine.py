@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .attacks import AttackPlan, _random_plan, plan_targeted_degree
+from .generators import _rng
 from .graph import Graph, _link_ids, _node_ids
 from .routing import DEFAULT_MODE, MODES, masked_throughputs
 
@@ -253,19 +254,23 @@ def averaged_elasticity(
     """Average elasticity over seeded trials of a (possibly stochastic) attack.
 
     Trial k uses seed + k; the targeted strategy is deterministic, so it is
-    forced to a single trial.  All trials sweep the same entity kind and
-    total in the same batches, so the sweep is validated and its targets
-    fixed once; only the link ranks are per trial, taken from the ids the
-    trial's planner drew, so a random trial's links are never resolved from
-    (u, v) pairs.  One masked_throughputs
-    call measures every trial, in min(jobs, work items) processes.  Returns
-    the mean result (per-trial values and their sample standard deviation
-    included), the pointwise-mean curve, and every per-trial curve, built
-    in fixed trial and sample order, so worker count never changes the
-    outcome.
+    forced to a single trial.  Every strategy holds seed to the planners'
+    rule (a nonnegative int or numpy integer, echoed as an int), so a
+    degree study never echoes a seed that a random one would refuse.  All trials sweep the
+    same entity kind and total in the same batches, so the sweep is
+    validated and its targets fixed once; only the link ranks are per
+    trial, taken from the ids the trial's planner drew, so a random trial's
+    links are never resolved from (u, v) pairs.  One masked_throughputs
+    call measures every trial, in at most min(jobs, usable CPUs, work
+    items) processes.  Returns the mean result (per-trial values and their
+    sample standard deviation included), the pointwise-mean curve, and
+    every per-trial curve, built in fixed trial and sample order, so worker
+    count never changes the outcome.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _rng(seed)  # refuses a bad seed before any plan, whatever the strategy
+    seed = int(seed)  # echoed as the planners echo it, so a result dumps as JSON
     if strategy == "degree":
         trials = 1
     plans, ranks = [], []

@@ -24,14 +24,17 @@ Bottleneck mode routes every sample from scratch, cut from the intact graph's
 CSR by a link mask.  Flow-ratio mode needs only deliverable pair counts, and
 those come from one reverse union-find pass per sweep that adds the links
 back in descending rank.  So routing also cuts a study's trials into work
-items and runs them, in a process pool when asked.  A work item is a
-flow-ratio trial, a bottleneck sample, or a root share of a sample too
-large for one worker.
+items and runs them, in a process pool of at most the usable CPUs when
+asked.  A work item is a flow-ratio trial, a bottleneck sample, or a root
+share of a sample too large for one worker; every bottleneck item sends
+back its route, and the parent alone turns a sample's loads into its
+throughput.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -186,8 +189,6 @@ def _route(g: Graph, keep: np.ndarray | None = None, part: int = 0, parts: int =
             raise ValueError(f"keep must be a bool array of shape ({m},), "
                              f"got {keep.dtype} of shape {keep.shape}")
         indptr, indices, slot_link = _cut(indptr, indices, slot_link, keep[slot_link])
-    if not len(indices):
-        return FlowAssignment(link_load=np.zeros(m, dtype=np.int64), delivered=0, max_link_load=0)
 
     label, sizes = _label_components(indptr, indices)
     delivered = int((sizes * (sizes - 1)).sum())
@@ -279,7 +280,7 @@ def _route(g: Graph, keep: np.ndarray | None = None, part: int = 0, parts: int =
         load_acc += np.bincount(link_of[node, parent_node], weights=subtree, minlength=m + 1)[1:]
 
     link_load = load_acc.astype(np.int64)
-    return FlowAssignment(link_load=link_load, delivered=delivered, max_link_load=int(link_load.max()))
+    return FlowAssignment(link_load, delivered, int(link_load.max(initial=0)))
 
 
 def _runs(lo: np.ndarray, lens: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -358,37 +359,44 @@ def _init_worker(*study) -> None:
 _Item = tuple[int, tuple[int, ...], int, int]
 
 
-def _measure(item: _Item, study: tuple = ()) -> list[float] | FlowAssignment:
-    """One work item's values: its trial's masked graph at each of its
-    targets, in the study given or else in the worker's.  A root share of a
-    bottleneck sample returns its FlowAssignment, for the parent to sum."""
+def _measure(item: _Item, study: tuple = ()) -> list[int] | FlowAssignment:
+    """One work item's values in the study given or else in the worker's: a
+    flow-ratio trial's pair counts at each of its targets, or the route of
+    a bottleneck sample, whole or one root share, for _fold to finish."""
     g, ranks, mode = study or _worker_study
     trial, group, part, parts = item
     if mode == "flow-ratio":
         return _pair_counts(g, ranks[trial], group)
     keep = ranks[trial] >= group[0]
-    if parts > 1:
-        return _route(g, keep, part, parts)
-    fa = route_all_pairs(g, keep)  # the name perfbench's tracer wraps
-    return [fa.delivered / fa.max_link_load if fa.max_link_load else 0.0]
+    # a whole sample is routed under the name perfbench's tracer wraps
+    return _route(g, keep, part, parts) if parts > 1 else route_all_pairs(g, keep)
 
 
-def _fold(items: list[_Item], values: Iterable[list[float] | FlowAssignment]) -> dict:
+def _fold(items: list[_Item], values: Iterable[list[int] | FlowAssignment]) -> dict:
     """Each sample's or trial's values by (trial, group), read in item
-    order as they arrive.  A root share's loads are added to its sample's,
-    and at the sample's last share its throughput is taken from the sum,
-    so only the loads of samples in flight are held."""
+    order as they arrive.  A route's loads are added to its sample's, and
+    at the sample's last share its throughput, delivered pairs over the
+    bottleneck load (0.0 when no link carries a flow), is taken from the
+    sum, so only the loads of samples in flight are held."""
     measured, sums = {}, {}
     for (k, group, part, parts), value in zip(items, values):
-        if parts > 1:
+        if isinstance(value, FlowAssignment):
             loads = sums.pop((k, group), 0) + value.link_load
             if part < parts - 1:
                 sums[k, group] = loads
                 continue
-            top = int(loads.max())
+            top = int(loads.max(initial=0))
             value = [value.delivered / top if top else 0.0]
         measured[(k, group)] = value
     return measured
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def masked_throughputs(
@@ -408,12 +416,13 @@ def masked_throughputs(
 
     A work item is one bottleneck sample or one flow-ratio trial.  Target 0
     keeps every link, so the intact route is one item shared by all trials.
-    With jobs > 1, a bottleneck sample too large for one worker is cut into
-    root shares, whose exact loads the parent sums as they arrive.  Items
-    run largest first in min(jobs, items) processes; a pool's workers get g
-    and the ranks once, and fork after scipy is imported.  jobs never
-    changes the values; a rank array not of shape (g.m,) or with a negative
-    rank is refused.
+    jobs is capped once, at the CPUs this process may use (_usable_cpus),
+    and the capped count plans the study.  Above 1, a bottleneck sample too
+    large for one worker is cut into root shares, whose exact loads the
+    parent sums as they arrive.  Items run largest first in min(jobs, items)
+    processes; a pool's workers get g and the ranks once, and fork after
+    scipy is imported.  jobs never changes the values; a rank array not of
+    shape (g.m,) or with a negative rank is refused.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
@@ -424,6 +433,7 @@ def masked_throughputs(
             raise ValueError(f"ranks must have shape ({g.m},), got {np.shape(rank)}")
         if np.min(rank, initial=0) < 0:
             raise ValueError("ranks must be nonnegative")
+    jobs = min(jobs, _usable_cpus())
     groups = [tuple(targets)] if mode == "flow-ratio" else [(t,) for t in targets]
 
     def item(k: int, group: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

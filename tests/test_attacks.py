@@ -1,4 +1,5 @@
 import heapq
+import json
 import random
 
 import numpy as np
@@ -245,3 +246,9 @@ def test_random_planners_take_integer_seeds_only():
             with pytest.raises(ValueError) as err:
                 plan(g, 5, bad)
             assert str(err.value) == f"seed must be an integer, got {bad!r}"
+    # a study echoes a numpy seed as an int, as the planners do, so its
+    # result dumps as JSON
+    for strategy in ("degree", "random-node"):
+        by_numpy = averaged_elasticity(g, strategy, trials=2, seed=np.int64(3), mode="flow-ratio")
+        assert by_numpy == averaged_elasticity(g, strategy, trials=2, seed=3, mode="flow-ratio")
+        assert type(by_numpy.result.seed) is int and json.dumps(by_numpy.result.to_dict())

@@ -226,13 +226,14 @@ def test_trials_and_jobs_below_one_exit_1(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_negative_seed_of_a_random_attack_exits_1(tmp_path, capsys):
+def test_negative_seed_of_an_attack_exits_1(tmp_path, capsys):
+    # the degree attack draws nothing from its seed, but echoes it
     outputs = {
         "elasticity": ["--outdir", str(tmp_path)],
         "scatter": ["--csv-out", str(tmp_path / "scatter.csv")],
     }
     for command, output in outputs.items():
-        for attack in ("random-node", "random-link"):
+        for attack in ("degree", "random-node", "random-link"):
             code, _, err = run(
                 capsys,
                 command, "--generate", "grid:4:4", "--attack", attack,

@@ -43,20 +43,25 @@ print(json.dumps({"third_party": third_party, "pool": pool, "scipy": "scipy" in 
 
 def test_a_bottleneck_pool_starts_after_scipy_is_imported(tmp_path):
     # the workers fork from a parent that already holds scipy, so none of
-    # them imports its own; a flow-ratio pool imports none at all
-    seen = fresh("""
+    # them imports its own; a flow-ratio pool imports none at all.  Each
+    # pool is planned on 2 usable CPUs, whatever the runner has, and mapped
+    # in this process.
+    seen = fresh(f"""
 import concurrent.futures
 import json
-from netelast import averaged_elasticity, grid_graph
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from conftest import SpyPool
+from netelast import averaged_elasticity, grid_graph, routing
 
 pools = []
 
-class Recorded(concurrent.futures.ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
+class Recorded(SpyPool):
+    def __call__(self, *args, **kwargs):
         pools.append("scipy.sparse.csgraph" in sys.modules)
-        super().__init__(*args, **kwargs)
+        return super().__call__(*args, **kwargs)
 
-concurrent.futures.ProcessPoolExecutor = Recorded
+concurrent.futures.ProcessPoolExecutor = Recorded()
+routing._usable_cpus = lambda: 2
 g = grid_graph(4, 4)
 averaged_elasticity(g, "random-link", trials=3, steps=4, mode="flow-ratio", jobs=2)
 averaged_elasticity(g, "degree", steps=4, jobs=2)

@@ -27,6 +27,7 @@ from netelast import (
     plan_targeted_degree,
     remove_links,
     remove_nodes,
+    scale_free_ba,
     star_graph,
     sweep,
     throughput,
@@ -287,8 +288,9 @@ def test_averaged_jobs_do_not_change_result():
         # one work item per bottleneck sample (the intact one shared by all
         # trials), one per flow-ratio trial; a pool larger than that runs
         # only where it stays a few processes.  At jobs > 1 a sample that
-        # costs more than a fair share runs as root shares, so the degree
-        # study's 6 samples run as 7, 8 and 12 items at jobs 2, 3 and 7.
+        # costs more than a fair share runs as root shares, so on 7 usable
+        # CPUs the degree study's 6 samples run as 7, 8 and 12 items at jobs
+        # 2, 3 and 7; a jobs above the usable CPUs plans as that count.
         items = (1 + sum(len(c.samples) - 1 for c in serial.trial_curves)
                  if mode == "bottleneck" else 4)
         for jobs in (2, 3, items + 1) if items < 8 else (2, 3):
@@ -299,21 +301,17 @@ def test_averaged_jobs_do_not_change_result():
             assert serial.trial_curves == parallel.trial_curves
 
 
-def test_a_dominant_sample_is_routed_in_root_shares(monkeypatch):
+def test_a_dominant_sample_is_routed_in_root_shares(spy_pool, monkeypatch):
     # a steps=1 degree study has two samples, and the intact one holds
     # most of the work, so at jobs=2 it runs as two root shares, then the
     # smaller sample runs whole; the values stay those of jobs=1, and the
-    # second sample's is not 0, so it reads the intact throughput
-    import concurrent.futures
+    # second sample's is not 0, so it reads the intact throughput.  The
+    # plans are pinned on 8 usable CPUs, whatever the runner has, and
+    # mapped in this process.
+    import netelast.routing as routing
 
-    mapped = []
-
-    class Recorded(concurrent.futures.ProcessPoolExecutor):
-        def map(self, fn, items):
-            mapped.extend(items)
-            return super().map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(routing, "_usable_cpus", lambda: 8)
+    mapped = spy_pool.mapped
     g = grid_graph(12, 12)
     serial = averaged_elasticity(g, "degree", steps=1, max_removal_fraction=0.2)
     assert not mapped and serial.trial_curves[0].samples[1][1] > 0
@@ -349,6 +347,33 @@ def test_a_dominant_sample_is_routed_in_root_shares(monkeypatch):
     assert [it for it in mapped if it[:2] == (0, (0,))] == [(0, (0,), p, 4) for p in range(4)]
     assert max(parts for _, _, _, parts in mapped) == 4
     assert parallel.trial_curves == averaged_elasticity(g, "degree").trial_curves
+
+
+def test_a_study_plans_at_most_the_usable_cpus(spy_pool):
+    # at jobs=10_000 the paper-default BA-1024 degree study plans its pool
+    # and its root shares for the CPUs this process may use (unbounded, it
+    # mapped 9,146 items on 9,146 workers), and its output is jobs=1's
+    import netelast.routing as routing
+
+    g = scale_free_ba(1024, 3, 3, seed=42)
+    serial = averaged_elasticity(g, "degree")
+    assert not spy_pool.mapped
+    parallel = averaged_elasticity(g, "degree", jobs=10_000)
+    cpus = routing._usable_cpus()
+    assert all(workers <= cpus for workers in spy_pool.workers)
+    assert max((parts for _, _, _, parts in spy_pool.mapped), default=1) <= cpus
+    assert parallel.result == serial.result
+    assert parallel.trial_curves == serial.trial_curves
+
+
+@pytest.mark.parametrize("seed", [3.0, 3.5, "x", True, -1])
+@pytest.mark.parametrize("strategy", ["degree", "random-node", "random-link"])
+def test_every_study_holds_its_seed_to_the_planners_rule(strategy, seed):
+    # a degree study ignores its seed but echoes it, so it is held to the
+    # random planners' rule too, as is a float that range() would refuse
+    with pytest.raises(ValueError, match="^seed must be "):
+        averaged_elasticity(grid_graph(4, 4), strategy, trials=2, seed=seed, steps=2,
+                            mode="flow-ratio")
 
 
 @pytest.mark.parametrize("strategy, mode, trials", [

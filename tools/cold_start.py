@@ -52,6 +52,7 @@ COMMANDS = (
     ("elasticity", "--input", "grid-16.txt", "--attack", "random-link", "--trials", "4",
      "--mode", "flow-ratio", "--jobs", "2", *SWEEP),
     ("scatter", "--input", "grid-16.txt", "--mode", "flow-ratio", "--csv-out", "scatter.csv"),
+    ("elasticity", "--input", "grid-16.txt", "--jobs", "1", *SWEEP),
     ("elasticity", "--input", "grid-16.txt", *SWEEP),
     ("elasticity", "--input", "grid-16.txt", "--jobs", "2", *SWEEP),
 )
