@@ -256,11 +256,11 @@ def averaged_elasticity(
     Trial k uses seed + k; the targeted strategy is deterministic, so it is
     forced to a single trial.  Every strategy holds seed to the planners'
     rule (a nonnegative int or numpy integer, echoed as an int), so a
-    degree study never echoes a seed that a random one would refuse.  All trials sweep the
-    same entity kind and total in the same batches, so the sweep is
-    validated and its targets fixed once; only the link ranks are per
-    trial, taken from the ids the trial's planner drew, so a random trial's
-    links are never resolved from (u, v) pairs.  One masked_throughputs
+    degree study never echoes a seed that a random one would refuse.  All
+    trials sweep the same entity kind and total in the same batches, so the
+    sweep is validated and its targets fixed once; only the link ranks are
+    per trial, taken from the ids the trial's planner drew, so a random
+    trial's links are never resolved from (u, v) pairs.  One masked_throughputs
     call measures every trial, in at most min(jobs, usable CPUs, work
     items) processes.  Returns the mean result (per-trial values and their
     sample standard deviation included), the pointwise-mean curve, and
