@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import heapq
-import numbers
 from dataclasses import dataclass
 
 from .generators import _rng
-from .graph import Graph
+from .graph import Graph, _integer
 
 __all__ = [
     "AttackPlan",
@@ -35,11 +34,6 @@ class AttackPlan:
     seed: int | None = None
 
 
-def _check_count(count: int, total: int) -> None:
-    if not (isinstance(count, numbers.Integral) and 0 <= count <= total):
-        raise ValueError(f"count must lie in 0..{total}")
-
-
 def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> AttackPlan:
     """Greedy highest-degree removal order, ties broken by lowest node id.
 
@@ -50,7 +44,7 @@ def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> Attack
     both; a popped key no longer its node's is skipped: O((n+m) log n).
     """
     n = g.n
-    _check_count(count, n)
+    count = _integer("count", count, 0, n)
     indptr, indices = g.csr[0].tolist(), g.csr[1].tolist()
     key = [v - d * n for v, d in enumerate(g.degrees())]  # n once removed
     heap = key.copy()
@@ -74,10 +68,10 @@ def plan_targeted_degree(g: Graph, count: int, recompute: bool = True) -> Attack
 def _random_plan(g: Graph, kind: str, count: int, seed: int) -> tuple[AttackPlan, list[int]]:
     """The plan of plan_random_nodes or plan_random_links, by kind, and the ids
     its shuffle drew: random.Random(seed).shuffle's draws, inlined and so
-    pinned to getrandbits (MT19937).  _rng refuses a bad seed."""
+    pinned to getrandbits (MT19937).  seed and count follow _integer's rule."""
     getrandbits = _rng(seed).getrandbits
     total = g.n if kind == "node" else g.m
-    _check_count(count, total)
+    count = _integer("count", count, 0, total)
     ids = list(range(total))
     # shuffle, _randbelow inlined: for i = total-1 .. 1 swap ids[i], ids[j], j
     # drawn in k = (i + 1).bit_length() bits until j <= i; one k per run of i

@@ -15,15 +15,15 @@ full sweep scores exactly 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .attacks import AttackPlan, _random_plan, plan_targeted_degree
-from .generators import _rng
-from .graph import Graph, _link_ids, _node_ids
-from .routing import DEFAULT_MODE, MODES, masked_throughputs
+from .graph import Graph, _integer, _link_ids, _node_ids
+from .routing import DEFAULT_MODE, masked_throughputs
 
 __all__ = [
     "AveragedSweep",
@@ -112,22 +112,22 @@ def _link_ranks(g: Graph, kind: str, ids: Sequence[int], count: int) -> np.ndarr
 
 
 def _sweep_targets(
-    g: Graph, plan: AttackPlan, max_removal_fraction: float, steps: int, mode: str
-) -> tuple[int, list[int]]:
-    """Validate a sweep; its entity total and the removal targets it measures.
+    g: Graph, plan: AttackPlan, max_removal_fraction: float, steps: int
+) -> tuple[int, list[int], int]:
+    """Validate a sweep; its entity total, the removal targets it measures,
+    and steps as an int.
 
     The targets are 0 for the intact graph, then each distinct nonzero batch
     target, ascending: the cumulative target after step k of steps is
     k * fraction * total / steps rounded half-up, so the last lands on
     round(fraction * total) regardless of divisibility.  The plan must cover
-    the last target.
+    the last target.  steps follows _integer's rule; masked_throughputs
+    checks the mode.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown throughput mode {mode!r}")
-    if not 0.0 < max_removal_fraction <= 1.0:
+    if isinstance(max_removal_fraction, bool) or not (
+            isinstance(max_removal_fraction, numbers.Real) and 0.0 < max_removal_fraction <= 1.0):
         raise ValueError("max_removal_fraction must lie in (0, 1]")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    steps = _integer("steps", steps)
     if plan.kind not in ("node", "link"):
         raise ValueError(f"unknown plan kind {plan.kind!r}")
     total = g.n if plan.kind == "node" else g.m
@@ -135,7 +135,7 @@ def _sweep_targets(
                            for k in range(1, steps + 1)} - {0})]
     if len(plan.order) < targets[-1]:
         raise ValueError(f"plan covers {len(plan.order)} entities, sweep needs {targets[-1]}")
-    return total, targets
+    return total, targets, steps
 
 
 def sweep(
@@ -160,7 +160,7 @@ def sweep(
     (nothing deliverable in the intact graph) yields the conventional curve
     1 at the intact sample and 0 afterwards.
     """
-    total, targets = _sweep_targets(g, plan, max_removal_fraction, steps, mode)
+    total, targets, steps = _sweep_targets(g, plan, max_removal_fraction, steps)
     if throughputs is None:
         ids = (_node_ids if plan.kind == "node" else _link_ids)(g, plan.order[:targets[-1]])
         rank = _link_ranks(g, plan.kind, ids, targets[-1])
@@ -254,30 +254,28 @@ def averaged_elasticity(
     """Average elasticity over seeded trials of a (possibly stochastic) attack.
 
     Trial k uses seed + k; the targeted strategy is deterministic, so it is
-    forced to a single trial.  Every strategy holds seed to the planners'
-    rule (a nonnegative int or numpy integer, echoed as an int), so a
-    degree study never echoes a seed that a random one would refuse.  All
-    trials sweep the same entity kind and total in the same batches, so the
-    sweep is validated and its targets fixed once; only the link ranks are
-    per trial, taken from the ids the trial's planner drew, so a random
-    trial's links are never resolved from (u, v) pairs.  One masked_throughputs
-    call measures every trial, in at most min(jobs, usable CPUs, work
-    items) processes.  Returns the mean result (per-trial values and their
-    sample standard deviation included), the pointwise-mean curve, and
-    every per-trial curve, built in fixed trial and sample order, so worker
-    count never changes the outcome.
+    forced to a single trial.  trials, seed, steps and jobs follow _integer's
+    rule, and the result echoes the first three as ints; every strategy
+    checks seed before it plans, so a degree study never echoes a seed that
+    a random one would refuse.  All trials sweep the same entity kind and
+    total in the same batches, so the sweep is validated and its targets
+    fixed once; only the link ranks are per trial, taken from the ids the
+    trial's planner drew, so a random trial's links are never resolved from
+    (u, v) pairs.  One masked_throughputs call measures every trial, in at
+    most min(jobs, usable CPUs, work items) processes.  Returns the mean
+    result (per-trial values and their sample standard deviation included),
+    the pointwise-mean curve, and every per-trial curve, built in fixed
+    trial and sample order, so worker count never changes the outcome.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _rng(seed)  # refuses a bad seed before any plan, whatever the strategy
-    seed = int(seed)  # echoed as the planners echo it, so a result dumps as JSON
+    trials = _integer("trials", trials, 1)
+    seed = _integer("seed", seed)  # before any plan, whatever the strategy
     if strategy == "degree":
         trials = 1
     plans, ranks = [], []
     for s in range(seed, seed + trials):  # a trial's ids are dropped once ranked
         plan, ids = _plan(g, strategy, recompute, s)
         if not plans:
-            targets = _sweep_targets(g, plan, max_removal_fraction, steps, mode)[1]
+            targets = _sweep_targets(g, plan, max_removal_fraction, steps)[1]
         plans.append(plan)
         ranks.append(_link_ranks(g, plan.kind, ids, targets[-1]))
     measured = masked_throughputs(g, ranks, targets, mode, jobs)

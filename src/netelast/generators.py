@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import numbers
 import random
 from typing import Sequence
 
-from .graph import Graph, make_graph
+from .graph import Graph, _integer, make_graph
 
 __all__ = [
     "complete_graph",
@@ -73,14 +72,10 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 
 def _rng(seed: int) -> random.Random:
-    """A random.Random for seed, an int or numpy integer; any other seed, True
-    too (seed 1's twin), is refused.  It seeds an int by its absolute value, so
-    a negative seed, which would repeat its positive twin's draws, is refused."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    return random.Random(int(seed))
+    """A random.Random for seed, which follows _integer's rule.  random.Random
+    seeds an int by its absolute value, so the rule's floor of 0 keeps a
+    negative seed from repeating its positive twin's draws."""
+    return random.Random(_integer("seed", seed))
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:

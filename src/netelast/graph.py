@@ -123,6 +123,21 @@ def _check_integer_pairs(pairs: Collection[tuple[int, int]]) -> None:
                 raise ValueError(f"edge ({u!r}, {v!r}) has a node id that is not an integer")
 
 
+def _integer(name: str, value: int, low: int = 0, high: int | None = None) -> int:
+    """value as a plain int, if it is an int or numpy integer in low..high (no
+    upper bound when high is None); anything else, True too, raises ValueError
+    naming the argument.  The rule of every integer argument but victim ids
+    and the generators' sizes, which keep their own."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if integer and low <= value and (high is None or value <= high):
+        return int(value)
+    if high is not None:
+        raise ValueError(f"{name} must lie in {low}..{high}")
+    if not integer:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be {f'>= {low}' if low else 'nonnegative'}, got {value}")
+
+
 def make_graph(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray,
                labels: list[int] | None = None) -> Graph:
     """Build a Graph from (u, v) pairs, or from an int array of them of
@@ -132,10 +147,9 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray,
     is keyed u*n + v with u < v, so sorting the keys and dropping repeats
     dedupes the links and lists them canonically.  Node ids that are not
     integers, or lie outside 0..n-1, are an error, which names the first
-    such pair in input order.
+    such pair in input order; so is an n that breaks _integer's rule.
     """
-    if n < 0:
-        raise ValueError("node count must be nonnegative")
+    n = _integer("n", n)
     if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"an integer edge array must have shape (k, 2), got shape {pairs.shape}")

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _label_components
+from .graph import Graph, _integer, _label_components
 
 __all__ = [
     "DEFAULT_MODE",
@@ -416,24 +416,23 @@ def masked_throughputs(
 
     A work item is one bottleneck sample or one flow-ratio trial.  Target 0
     keeps every link, so the intact route is one item shared by all trials.
-    jobs is capped once, at the CPUs this process may use (_usable_cpus),
-    and the capped count plans the study.  Above 1, a bottleneck sample too
-    large for one worker is cut into root shares, whose exact loads the
-    parent sums as they arrive.  Items run largest first in min(jobs, items)
-    processes; a pool's workers get g and the ranks once, and fork after
-    scipy is imported.  jobs never changes the values; a rank array not of
-    shape (g.m,) or with a negative rank is refused.
+    jobs, at least 1 by _integer's rule, is capped once, at the CPUs this
+    process may use (_usable_cpus), and the capped count plans the study.
+    Above 1, a bottleneck sample too large for one worker is cut into root
+    shares, whose exact loads the parent sums as they arrive.  Items run
+    largest first in min(jobs, items) processes; a pool's workers get g and
+    the ranks once, and fork after scipy is imported.  jobs never changes the values; an unknown mode, a
+    rank array not of shape (g.m,) or with a negative rank is refused before
+    any pool starts.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     for rank in ranks:
         if np.shape(rank) != (g.m,):
             raise ValueError(f"ranks must have shape ({g.m},), got {np.shape(rank)}")
         if np.min(rank, initial=0) < 0:
             raise ValueError("ranks must be nonnegative")
-    jobs = min(jobs, _usable_cpus())
+    jobs = min(_integer("jobs", jobs, 1), _usable_cpus())
     groups = [tuple(targets)] if mode == "flow-ratio" else [(t,) for t in targets]
 
     def item(k: int, group: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

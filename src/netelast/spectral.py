@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _integer
 
 __all__ = [
     "DEFAULT_SIZE_GUARD",
@@ -40,11 +40,12 @@ class SpectralSummary:
 
 
 def laplacian(g: Graph, size_guard: int = DEFAULT_SIZE_GUARD) -> np.ndarray:
-    """Dense Laplacian L = D - A; refused above size_guard nodes before the
-    n^2 x 8-byte matrix exists (raise the guard deliberately if needed)."""
+    """Dense Laplacian L = D - A; refused above size_guard nodes, a
+    nonnegative integer by _integer's rule, before the n^2 x 8-byte matrix
+    exists (raise the guard deliberately if needed)."""
     if g.n < 1:
         raise ValueError("laplacian requires at least one node")
-    if g.n > size_guard:
+    if g.n > _integer("size_guard", size_guard):
         raise SizeGuardError(
             f"n={g.n} exceeds the dense-Laplacian guard ({size_guard}); "
             f"pass a larger size_guard to accept the n^2 x 8-byte matrix"

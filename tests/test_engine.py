@@ -601,7 +601,7 @@ def test_a_study_ranks_its_trials_as_sweep_ranks_their_plans(g, strategy, mode, 
     assert len(measured) == 3
     for k, rank in enumerate(measured):
         plan = planner(g, g.n if strategy == "random-node" else g.m, seed + k)
-        count = _sweep_targets(g, plan, fraction, 5, mode)[1][-1]
+        count = _sweep_targets(g, plan, fraction, 5)[1][-1]
         expected = _link_ranks(g, plan.kind, resolve(g, plan.order[:count]), count)
         assert rank.dtype == expected.dtype == np.int64
         assert rank.tolist() == expected.tolist()

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 import re
 
@@ -16,19 +17,24 @@ from netelast import (
     cycle_graph,
     dump_edge_list,
     erdos_renyi,
+    grid_graph,
     laplacian,
     load_edge_list,
     make_graph,
     path_graph,
+    plan_random_links,
+    plan_random_nodes,
     plan_targeted_degree,
     remove_links,
     remove_nodes,
     route_all_pairs,
+    scale_free_ba,
     star_graph,
+    sweep,
     throughput,
     wheel_graph,
 )
-from netelast.routing import delivered_flow_count
+from netelast.routing import delivered_flow_count, masked_throughputs
 
 
 def test_load_path_graph():
@@ -397,3 +403,69 @@ def test_ends_are_built_once_and_read_only():
     assert g.ends.tolist() == [0, 1, 1, 2]
     with pytest.raises(ValueError, match="read-only"):
         g.ends[0] = 2
+
+
+GRID = grid_graph(3, 3)
+NOT_INTEGERS = (2.5, 2.0, "2", True, None)
+
+
+def study(**kwargs):
+    return averaged_elasticity(GRID, "random-link", **{"trials": 2, "steps": 2,
+                                                       "mode": "flow-ratio", **kwargs})
+
+
+def echoed(name):
+    """Reads field name of a study's result after a JSON round trip."""
+    return lambda s: json.loads(json.dumps(s.result.to_dict()))[name]
+
+
+@pytest.mark.parametrize("name, good, bads, call, echo", [
+    pytest.param("count", 2, NOT_INTEGERS, lambda v: plan_targeted_degree(GRID, v), None,
+                 id="plan_targeted_degree-count"),
+    pytest.param("count", 2, NOT_INTEGERS, lambda v: plan_random_nodes(GRID, v, seed=1), None,
+                 id="plan_random_nodes-count"),
+    pytest.param("seed", 2, NOT_INTEGERS, lambda v: plan_random_nodes(GRID, 2, seed=v),
+                 lambda plan: plan.seed, id="plan_random_nodes-seed"),
+    pytest.param("count", 2, NOT_INTEGERS, lambda v: plan_random_links(GRID, v, seed=1), None,
+                 id="plan_random_links-count"),
+    pytest.param("seed", 2, NOT_INTEGERS, lambda v: plan_random_links(GRID, 2, seed=v),
+                 lambda plan: plan.seed, id="plan_random_links-seed"),
+    pytest.param("seed", 2, NOT_INTEGERS, lambda v: erdos_renyi(6, 0.5, seed=v), None,
+                 id="erdos_renyi-seed"),
+    pytest.param("seed", 2, NOT_INTEGERS, lambda v: scale_free_ba(8, 2, 2, seed=v), None,
+                 id="scale_free_ba-seed"),
+    pytest.param("n", 2, NOT_INTEGERS, lambda v: make_graph(v, [(0, 1)]), lambda g: g.n,
+                 id="make_graph-n"),
+    pytest.param("trials", 2, NOT_INTEGERS, lambda v: study(trials=v), echoed("trials"),
+                 id="averaged_elasticity-trials"),
+    pytest.param("steps", 2, NOT_INTEGERS, lambda v: study(steps=v), echoed("steps"),
+                 id="averaged_elasticity-steps"),
+    pytest.param("seed", 2, NOT_INTEGERS, lambda v: study(seed=v), echoed("seed"),
+                 id="averaged_elasticity-seed"),
+    pytest.param("jobs", 2, NOT_INTEGERS, lambda v: study(jobs=v), None,
+                 id="averaged_elasticity-jobs"),
+    pytest.param("steps", 2, NOT_INTEGERS,
+                 lambda v: sweep(GRID, plan_targeted_degree(GRID, 9), steps=v, mode="flow-ratio"),
+                 lambda curve: curve.steps, id="sweep-steps"),
+    pytest.param("jobs", 2, NOT_INTEGERS,
+                 lambda v: masked_throughputs(GRID, [np.arange(GRID.m)], [0, 6], "flow-ratio", v),
+                 None, id="masked_throughputs-jobs"),
+    pytest.param("size_guard", 2, NOT_INTEGERS,
+                 lambda v: laplacian(path_graph(2), size_guard=v).tolist(), None,
+                 id="laplacian-size_guard"),
+    pytest.param("max_removal_fraction", 0.5, (True, "0.5", None),
+                 lambda v: study(max_removal_fraction=v), echoed("max_removal_fraction"),
+                 id="averaged_elasticity-max_removal_fraction"),
+])
+def test_every_integer_argument_follows_one_rule(name, good, bads, call, echo, spy_pool):
+    # A float, a string, None or True (1's twin) is refused with a
+    # ValueError naming the argument; a numpy scalar acts as the plain
+    # value, and an echoed one comes back as a plain int, so a result
+    # dumps as JSON.  The sweep width follows its own rule, a real in (0, 1].
+    for bad in bads:
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            call(bad)
+    out = call(np.asarray(good)[()])  # good as a numpy scalar
+    assert out == call(good)
+    if echo:
+        assert type(echo(out)) is type(good)

@@ -3,21 +3,27 @@ peak resident memory, and whether it imported scipy.
 
     python3 tools/cold_start.py
 
-Every command runs once, in a fresh interpreter that imports netelast.cli
-from this checkout's src/ and calls its main, as the netelast script does.
-The inputs are made by the first two rows, `generate` runs writing BA-4096
-and grid 16x16 edge lists into a temporary directory.  Wall time is taken
-around the whole process, interpreter start included; CPU time adds the
-process's pool workers; max RSS is the child's ru_maxrss, the largest
-resident set of it or of any worker.  This script imports no numpy, so the
-few MB of its own that a spawned child's ru_maxrss may inherit stay below
-any netelast process's peak.  Prints one Markdown table; the whole run
-takes a few seconds.
+Every command runs in a fresh interpreter that imports netelast.cli from
+this checkout's src/ and calls its main, as the netelast script does, with
+one BLAS thread (as perfbench runs it), so a single-process command's CPU
+time cannot exceed its wall time by BLAS threads.  The inputs are made by
+the first two rows, `generate` runs writing BA-4096 and grid 16x16 edge
+lists into a temporary directory.  Wall time is taken around the whole
+process, interpreter start included; CPU time adds the process's pool
+workers; max RSS is the child's ru_maxrss, the largest resident set of it
+or of any worker.  This script imports no numpy, so the few MB of its own
+that a spawned child's ru_maxrss may inherit stay below any netelast
+process's peak.  The rows run ROUNDS times, round-robin, so a drift of the
+machine spreads over every row; the table gives each measured column's
+median, the worst exit code, and whether any run loaded scipy.  Prints one
+Markdown table; the whole run takes under a minute.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -41,6 +47,8 @@ print(json.dumps({"code": code,
                   "scipy": "scipy" in sys.modules}))
 """
 
+ROUNDS = 3
+BLAS_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 SWEEP = ("--steps", "20", "--curve-out", "curve.csv", "--json-out", "result.json")
 COMMANDS = (
     ("generate", "ba:4096:3:3", "-o", "ba-4096.txt"),
@@ -63,7 +71,8 @@ def cold_run(argv: tuple[str, ...] | list[str], workdir: Path) -> dict:
     code, wall and CPU seconds, max RSS in MB, and whether scipy loaded."""
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", CHILD, str(SRC), *argv], cwd=workdir,
-                          capture_output=True, text=True, check=True)
+                          env={**os.environ, **BLAS_PIN}, capture_output=True, text=True,
+                          check=True)
     wall = time.perf_counter() - start
     return {"wall_s": wall, **json.loads(done.stdout)}
 
@@ -71,14 +80,17 @@ def cold_run(argv: tuple[str, ...] | list[str], workdir: Path) -> dict:
 def main() -> int:
     rows = ["| command | exit | wall_s | cpu_s | max_rss_mb | scipy |",
             "|---|---|---|---|---|---|"]
-    failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        for argv in COMMANDS:
-            r = cold_run(argv, Path(tmp))
-            failed |= r["code"] != 0
-            shown = " ".join(argv[:-len(SWEEP)] if argv[-len(SWEEP):] == SWEEP else argv)
-            rows.append(f"| `{shown}` | {r['code']} | {r['wall_s']:.3f} | {r['cpu_s']:.3f} | "
-                        f"{r['max_rss_mb']:.1f} | {'yes' if r['scipy'] else 'no'} |")
+        runs = [[cold_run(argv, Path(tmp)) for argv in COMMANDS] for _ in range(ROUNDS)]
+    failed = False
+    for argv, row in zip(COMMANDS, zip(*runs)):
+        code = max(r["code"] for r in row)
+        failed |= code != 0
+        wall, cpu, rss = (statistics.median(r[k] for r in row)
+                          for k in ("wall_s", "cpu_s", "max_rss_mb"))
+        shown = " ".join(argv[:-len(SWEEP)] if argv[-len(SWEEP):] == SWEEP else argv)
+        rows.append(f"| `{shown}` | {code} | {wall:.3f} | {cpu:.3f} | {rss:.1f} | "
+                    f"{'yes' if any(r['scipy'] for r in row) else 'no'} |")
     print("\n".join(rows))
     return 1 if failed else 0
 

@@ -44,7 +44,7 @@ def degree_attack_keep(g, fraction: float) -> np.ndarray:
     """The links of g left once its degree attack has removed fraction of
     the nodes, as many as a sweep of that width removes."""
     plan = plan_targeted_degree(g, g.n)
-    count = _sweep_targets(g, plan, fraction, 1, "bottleneck")[1][-1]
+    count = _sweep_targets(g, plan, fraction, 1)[1][-1]
     return _link_ranks(g, plan.kind, plan.order, count) >= count
 
 
