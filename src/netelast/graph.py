@@ -64,17 +64,13 @@ class Graph:
 
     @cached_property
     def ends(self) -> np.ndarray:
-        """The edge list as read-only int64 [u0, v0, u1, v1, ...], built on
-        first use.  Every numeric reader of the links reads it and relies on
-        the list being canonical, so a list that is not is refused here."""
-        ends = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * self.m)
-        u, v = ends[0::2], ends[1::2]
-        if self.m and not (u.min() >= 0 and v.max() < self.n and (u < v).all()
-                           and (np.diff(u * self.n + v) > 0).all()):
-            raise ValueError("edges must be canonical: ids in 0..n-1, u < v on "
-                             "each link, links strictly ascending")
-        ends.flags.writeable = False
-        return ends
+        """The edge list as read-only int64 [u0, v0, u1, v1, ...].  Every
+        numeric reader of the links reads it and relies on the list being
+        canonical, so _canonical_ends refuses a list that is not.  make_graph
+        hands its Graph the array it built; any other Graph builds it from
+        edges on first use."""
+        return _canonical_ends(self.n, np.fromiter(chain.from_iterable(self.edges),
+                                                   np.int64, 2 * self.m))
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,6 +90,18 @@ class Graph:
 
     def degrees(self) -> list[int]:
         return np.bincount(self.ends, minlength=self.n).tolist()
+
+
+def _canonical_ends(n: int, ends: np.ndarray) -> np.ndarray:
+    """ends, made read-only, if it lists canonical links of an n-node graph:
+    ids in 0..n-1, u < v on each link, links strictly ascending."""
+    u, v = ends[0::2], ends[1::2]
+    if len(ends) and not (u.min() >= 0 and v.max() < n and (u < v).all()
+                          and (np.diff(u * n + v) > 0).all()):
+        raise ValueError("edges must be canonical: ids in 0..n-1, u < v on "
+                         "each link, links strictly ascending")
+    ends.flags.writeable = False
+    return ends
 
 
 @dataclass(frozen=True)
@@ -123,13 +131,13 @@ def _check_integer_pairs(pairs: Collection[tuple[int, int]]) -> None:
                 raise ValueError(f"edge ({u!r}, {v!r}) has a node id that is not an integer")
 
 
-def _integer(name: str, value: int, low: int = 0, high: int | None = None) -> int:
+def _integer(name: str, value: int, low: int | None = 0, high: int | None = None) -> int:
     """value as a plain int, if it is an int or numpy integer in low..high (no
-    upper bound when high is None); anything else, True too, raises ValueError
-    naming the argument.  The rule of every integer argument but victim ids
-    and the generators' sizes, which keep their own."""
+    bound where low or high is None); anything else, True too, raises
+    ValueError naming the argument.  The rule of every integer argument but
+    victim ids, which keep their own."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if integer and low <= value and (high is None or value <= high):
+    if integer and (low is None or low <= value) and (high is None or value <= high):
         return int(value)
     if high is not None:
         raise ValueError(f"{name} must lie in {low}..{high}")
@@ -147,7 +155,9 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray,
     is keyed u*n + v with u < v, so sorting the keys and dropping repeats
     dedupes the links and lists them canonically.  Node ids that are not
     integers, or lie outside 0..n-1, are an error, which names the first
-    such pair in input order; so is an n that breaks _integer's rule.
+    such pair in input order; so is an n that breaks _integer's rule.  The
+    Graph gets the int64 ends it was built from, through Graph.ends' check,
+    so its first reader does not rebuild them from the tuples.
     """
     n = _integer("n", n)
     if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
@@ -158,18 +168,20 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray,
         _check_integer_pairs(pairs)
     try:
         ends = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        bad = np.flatnonzero(((ends < 0) | (ends >= n)).any(axis=1))[:1].tolist()
+        in_range = not len(ends) or (ends.min() >= 0 and ends.max() < n)
     except OverflowError:  # an id past int64 is out of range for any n
-        bad = [next(i for i, (u, v) in enumerate(pairs) if not (0 <= u < n and 0 <= v < n))]
-    if bad:
-        u, v = pairs[bad[0]]
+        in_range = False
+    if not in_range:
+        u, v = next((u, v) for u, v in pairs if not (0 <= u < n and 0 <= v < n))
         raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-    ends = ends[ends[:, 0] != ends[:, 1]]
+    a, b = ends[:, 0], ends[:, 1]
     # np.unique would do, but numpy 2.4's hashes first: 0.12 s on 300k
     # keys, where this sort takes 4 ms
-    key = np.sort(ends.min(axis=1) * n + ends.max(axis=1))
+    key = np.sort((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
     u, v = np.divmod(key[np.diff(key, prepend=-1) > 0], n)
-    return Graph(n=n, edges=list(zip(u.tolist(), v.tolist())), labels=labels)
+    g = Graph(n=n, edges=list(zip(u.tolist(), v.tolist())), labels=labels)
+    vars(g)["ends"] = _canonical_ends(n, np.stack((u, v), axis=1).ravel())
+    return g
 
 
 def load_edge_list(source: str | Iterable[str]) -> Graph:
@@ -186,7 +198,14 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
     already form a dense 0..n-1 range are kept verbatim, so canonical
     serializations reload to the identical graph; anything sparser is
     relabeled to dense ids in first-appearance order, with the original
-    ids retained as labels.  Empty input gives the empty graph.
+    ids retained as labels, whatever their size.  Empty input gives the
+    empty graph.
+
+    _BAD_LINE alone vets the text; numpy's C tokenizer (np.loadtxt) then
+    reads the ids as int64, splitting on the same whitespace as str.split.
+    Where it raises ValueError instead, on an id of 2**63 or more or on a
+    "\r" inside a line, the ids are read as Python ints, which gives the
+    same graph.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     # Outer whitespace never counts, so stripping each line's tail drops
@@ -200,10 +219,20 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
         raise EdgeListParseError(text.count("\n", 0, bad.end()), f"{problem}, got {line!r}")
     if "#" in text:
         text = _COMMENT_LINE.sub("", text)
-    ids = list(map(int, text.split()))
+    if not text.strip():  # no link line; loadtxt would warn "input contained no data"
+        return make_graph(0, [])
+    try:
+        ids = np.loadtxt(text.split("\n"), np.int64, ndmin=2).ravel()
+    except ValueError:
+        ids = list(map(int, text.split()))
+    else:
+        top = int(ids.max())
+        if top < len(ids) and np.bincount(ids).all():  # dense: ids are 0..top
+            return make_graph(top + 1, ids.reshape(-1, 2))
+        ids = ids.tolist()
     labels = list(dict.fromkeys(ids))
     n = len(labels)
-    if max(labels, default=-1) == n - 1:
+    if max(labels) == n - 1:
         return make_graph(n, np.fromiter(ids, np.int64, len(ids)).reshape(-1, 2))
     dense = dict(zip(labels, range(n)))
     pairs = np.fromiter(map(dense.__getitem__, ids), np.int64, len(ids)).reshape(-1, 2)

@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -13,6 +14,7 @@ from netelast import (
     EdgeListParseError,
     Graph,
     averaged_elasticity,
+    complete_graph,
     connected_components,
     cycle_graph,
     dump_edge_list,
@@ -128,7 +130,9 @@ def load_outcome(load, source):
 _SPACES = ["\x0b", "\x0c", "\x1c", "\x85", "\x1f", "\xa0"]
 _BREAKS = ["\r\n", "\r", "\n"] + _SPACES[:4]
 _ODD = _BREAKS + _SPACES[4:] + [" ", "#", "+", "-", "_", "\u0663"]
-_ids = st.one_of(st.integers(0, 7), st.integers(2**63, 2**63 + 2)).map(str)
+_ids = st.builds(lambda zeros, i: zeros + str(i), st.sampled_from([""] * 6 + ["0", "00"]),
+                 st.sampled_from([0] * 6 + [1, 2]).flatmap(lambda k: [
+                     st.integers(0, 7), st.integers(8, 999), st.integers(2**63 - 2, 2**63 + 2)][k]))
 _space = st.lists(st.sampled_from([" "] * 20 + _SPACES), max_size=2).map("".join)
 _pair_line = st.builds(lambda a, u, b, v, c: a + u + b + v + c,
                        _space, _ids, _space.filter(bool), _ids, _space)
@@ -148,6 +152,8 @@ _line_end = st.sampled_from(["\n"] * 6 + _BREAKS)
 @example(pieces=[("# c", "\n"), (" 3 \xa05", "\r\n"), ("5 9", "\x85")], as_file=True)
 @example(pieces=[("0 1", "\n"), ("1_0 2", "\n")], as_file=False)
 @example(pieces=[(str(2**63), "\n"), (f"1 {2**64}", "\n")], as_file=False)
+@example(pieces=[(f"{2**63 - 1} 007", "\n"), ("7 12", "\n")], as_file=False)  # int64 ids
+@example(pieces=[(f"{2**63 - 1} 007", "\n"), (f"7 {2**63}", "\n")], as_file=True)  # past int64
 def test_load_matches_the_per_line_reference(pieces, as_file):
     # the bulk loader gives the per-line parser's graph, or its error line
     # and message, both on a str and on a text file's lines
@@ -157,6 +163,25 @@ def test_load_matches_the_per_line_reference(pieces, as_file):
         return io.StringIO(text, newline=None) if as_file else text
 
     assert load_outcome(load_edge_list, source()) == load_outcome(reference_load, source())
+
+
+@pytest.mark.parametrize("text", ["", "\n", " \t\n\n", "# only\n  # comments", "#\n\n#\n"],
+                         ids=["empty", "newline", "blank", "comments", "comments-and-blanks"])
+@pytest.mark.parametrize("as_file", [False, True])
+def test_text_without_a_link_line_loads_the_empty_graph_without_a_warning(text, as_file):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = load_edge_list(io.StringIO(text) if as_file else text)
+    assert (g.n, g.edges, g.labels, g.ends.tolist()) == (0, [], None, [])
+
+
+def test_a_carriage_return_inside_a_line_loads_as_whitespace():
+    # numpy's tokenizer refuses a "\r" inside a line, which a list of lines
+    # or a file read with newline="\n" can hold; the loader then reads the
+    # ids as Python ints, and a dense graph still keeps its ids
+    for lines, graph in [(["0\r1", "1 2"], (3, [(0, 1), (1, 2)], None)),
+                         (["5\r9", "9 5"], (2, [(0, 1)], [5, 9]))]:
+        assert load_outcome(load_edge_list, lines) == load_outcome(reference_load, lines) == graph
 
 
 def test_load_huge_sparse_ids_keep_their_labels():
@@ -405,6 +430,25 @@ def test_ends_are_built_once_and_read_only():
         g.ends[0] = 2
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 9), data=st.data())
+def test_make_graph_hands_its_graph_the_ends_graph_would_build(n, data):
+    # make_graph sets ends itself; a Graph of the same links builds the
+    # same read-only array, and one whose links are out of order still
+    # fails on its first read
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=20) if n else st.just([]))
+    g = make_graph(n, pairs)
+    assert "ends" in vars(g)
+    built = Graph(g.n, g.edges).ends
+    assert g.ends.dtype == built.dtype == np.int64
+    assert g.ends.tolist() == built.tolist()
+    assert not g.ends.flags.writeable
+    if g.m >= 2:
+        with pytest.raises(ValueError, match="edges must be canonical"):
+            Graph(g.n, g.edges[::-1]).ends
+
+
 GRID = grid_graph(3, 3)
 NOT_INTEGERS = (2.5, 2.0, "2", True, None)
 
@@ -453,6 +497,19 @@ def echoed(name):
     pytest.param("size_guard", 2, NOT_INTEGERS,
                  lambda v: laplacian(path_graph(2), size_guard=v).tolist(), None,
                  id="laplacian-size_guard"),
+    *[pytest.param(name, good, NOT_INTEGERS, call, lambda g: g.n, id=f"{gen}-{name}")
+      for gen, name, good, call in [
+          ("path_graph", "n", 2, path_graph),
+          ("cycle_graph", "n", 3, cycle_graph),
+          ("complete_graph", "n", 3, complete_graph),
+          ("star_graph", "n", 3, star_graph),
+          ("wheel_graph", "n", 4, wheel_graph),
+          ("grid_graph", "rows", 2, lambda v: grid_graph(v, 2)),
+          ("grid_graph", "cols", 2, lambda v: grid_graph(2, v)),
+          ("erdos_renyi", "n", 4, lambda v: erdos_renyi(v, 0.5)),
+          ("scale_free_ba", "n", 8, lambda v: scale_free_ba(v, 2, 2)),
+          ("scale_free_ba", "seed_nodes", 2, lambda v: scale_free_ba(8, v, 2)),
+          ("scale_free_ba", "links_per_node", 2, lambda v: scale_free_ba(8, 2, v))]],
     pytest.param("max_removal_fraction", 0.5, (True, "0.5", None),
                  lambda v: study(max_removal_fraction=v), echoed("max_removal_fraction"),
                  id="averaged_elasticity-max_removal_fraction"),

@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netelast import (
     assortativity,
@@ -108,3 +112,43 @@ def test_summarize_edgeless_and_empty():
     assert s.assortativity is None and s.max_degree == 0
     with pytest.raises(ValueError):
         summarize(make_graph(0, []))
+
+
+def per_link_assortativity(g):
+    """r from the per-link integer sums, one Python-int step per link: the
+    form assortativity replaced."""
+    deg = g.degrees()
+    s_prod = s_sum = s_sq = 0
+    for u, v in g.edges:
+        s_prod += deg[u] * deg[v]
+        s_sum += deg[u] + deg[v]
+        s_sq += deg[u] ** 2 + deg[v] ** 2
+    denominator = 2 * g.m * s_sq - s_sum * s_sum
+    return None if denominator == 0 else (4 * g.m * s_prod - s_sum * s_sum) / denominator
+
+
+# graphs on up to 12 nodes, some of them isolated, as (n, pairs)
+_graphs = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=_graphs)
+@example(graph=(5, [(i, (i + 1) % 5) for i in range(5)]))  # regular: None
+@example(graph=(8, [(0, 1), (2, 3), (4, 5)]))  # regular links, isolated nodes: None
+@example(graph=(9, [(0, i) for i in range(1, 6)] + [(6, 7)]))  # a star and a link, isolated node
+def test_assortativity_matches_the_per_link_sums(graph):
+    # the degree-sum form gives the per-link integers, so the same float
+    g = make_graph(*graph)
+    if g.m == 0:
+        with pytest.raises(ValueError):
+            assortativity(g)
+    else:
+        assert assortativity(g) == per_link_assortativity(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=_graphs)
+def test_degree_histogram_counts_the_degrees(graph):
+    g = make_graph(*graph)
+    assert degree_histogram(g).counts == Counter(g.degrees())
