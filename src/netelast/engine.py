@@ -23,7 +23,7 @@ import numpy as np
 
 from .attacks import AttackPlan, _random_plan, plan_targeted_degree
 from .graph import Graph, _integer, _link_ids, _node_ids
-from .routing import DEFAULT_MODE, masked_throughputs
+from .routing import DEFAULT_MODE, MODES, masked_throughputs
 
 __all__ = [
     "AveragedSweep",
@@ -122,7 +122,7 @@ def _sweep_targets(
     k * fraction * total / steps rounded half-up, so the last lands on
     round(fraction * total) regardless of divisibility.  The plan must cover
     the last target.  steps follows _integer's rule; masked_throughputs
-    checks the mode.
+    checks the mode, and sweep does when it is given the throughputs.
     """
     if isinstance(max_removal_fraction, bool) or not (
             isinstance(max_removal_fraction, numbers.Real) and 0.0 < max_removal_fraction <= 1.0):
@@ -155,16 +155,19 @@ def sweep(
     nothing and carry no load; one masked_throughputs call measures the
     intact graph and every sample.  throughputs, when given, are those
     values already measured elsewhere (averaged_elasticity measures all
-    trials at once).  Batches that round to no removals are skipped,
-    keeping the fraction axis strictly decreasing.  A degenerate baseline
-    (nothing deliverable in the intact graph) yields the conventional curve
-    1 at the intact sample and 0 afterwards.
+    trials at once); an unknown mode is refused either way.  Batches that
+    round to no removals are skipped, keeping the fraction axis strictly
+    decreasing.  A degenerate baseline (nothing deliverable in the intact
+    graph) yields the conventional curve 1 at the intact sample and 0
+    afterwards.
     """
     total, targets, steps = _sweep_targets(g, plan, max_removal_fraction, steps)
     if throughputs is None:
         ids = (_node_ids if plan.kind == "node" else _link_ids)(g, plan.order[:targets[-1]])
         rank = _link_ranks(g, plan.kind, ids, targets[-1])
         throughputs = masked_throughputs(g, [rank], targets, mode)[0]
+    elif mode not in MODES:  # masked_throughputs' own check, on a path that skips it
+        raise ValueError(f"unknown throughput mode {mode!r}")
     elif len(throughputs) != len(targets):
         raise ValueError(f"sweep measures {len(targets)} targets, "
                          f"got {len(throughputs)} throughputs")

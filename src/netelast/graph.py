@@ -49,28 +49,51 @@ class EdgeListParseError(ValueError):
 class Graph:
     """Undirected simple graph with node ids exactly 0..n-1.
 
-    edges is the canonical link list: (u, v) with u < v, sorted
-    lexicographically (so any subset of it is canonical too).  labels, when
-    present, maps each dense id back to the external id it was loaded under.
+    ends is the one stored copy of the links: the canonical link list, (u, v)
+    with u < v sorted lexicographically (so any subset of it is canonical
+    too), flattened to read-only int64 [u0, v0, u1, v1, ...]; link id e
+    names (ends[2e], ends[2e + 1]).  The constructor takes the links as
+    (u, v) pairs, or as an integer array of shape (k, 2) or (2k,), which it
+    copies; anything else, or links that are not canonical, raise
+    ValueError, so every reader may rely on ends.  labels, when present,
+    maps each dense id back to the external id it was loaded under.  Graphs
+    compare by value and are not hashable.
     """
 
     n: int
-    edges: list[tuple[int, int]]
+    ends: np.ndarray
     labels: list[int] | None = None
+
+    def __post_init__(self) -> None:
+        ends = np.array(self.ends)  # a copy, so the caller's array is never frozen
+        ends = ends.astype(np.int64, copy=False) if ends.dtype.kind in "iu" or not ends.size else ends
+        u, v = ends.reshape(-1)[0::2], ends.reshape(-1)[1::2]
+        if ends.shape not in {(2 * len(v),), (len(v), 2)} or len(u) and not (
+                ends.dtype == np.int64 and u.min() >= 0 and v.max() < self.n
+                and (u < v).all() and (np.diff(u * self.n + v) > 0).all()):
+            raise ValueError("edges must be canonical: integer ids in 0..n-1, u < v on "
+                             "each link, links strictly ascending")
+        ends = ends.reshape(-1)
+        ends.flags.writeable = False
+        object.__setattr__(self, "ends", ends)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Graph) and (self.n, self.labels) == (other.n, other.labels)
+                and np.array_equal(self.ends, other.ends))
+
+    def __reduce__(self) -> tuple:
+        # a copy goes back through the constructor: checked, read-only, no caches
+        return Graph, (self.n, self.ends, self.labels)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ends) // 2
 
     @cached_property
-    def ends(self) -> np.ndarray:
-        """The edge list as read-only int64 [u0, v0, u1, v1, ...].  Every
-        numeric reader of the links reads it and relies on the list being
-        canonical, so _canonical_ends refuses a list that is not.  make_graph
-        hands its Graph the array it built; any other Graph builds it from
-        edges on first use."""
-        return _canonical_ends(self.n, np.fromiter(chain.from_iterable(self.edges),
-                                                   np.int64, 2 * self.m))
+    def edges(self) -> list[tuple[int, int]]:
+        """The links as (u, v) tuples of ints in canonical order, a view of
+        ends built on first read; no numeric reader needs it."""
+        return list(zip(self.ends[0::2].tolist(), self.ends[1::2].tolist()))
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -90,18 +113,6 @@ class Graph:
 
     def degrees(self) -> list[int]:
         return np.bincount(self.ends, minlength=self.n).tolist()
-
-
-def _canonical_ends(n: int, ends: np.ndarray) -> np.ndarray:
-    """ends, made read-only, if it lists canonical links of an n-node graph:
-    ids in 0..n-1, u < v on each link, links strictly ascending."""
-    u, v = ends[0::2], ends[1::2]
-    if len(ends) and not (u.min() >= 0 and v.max() < n and (u < v).all()
-                          and (np.diff(u * n + v) > 0).all()):
-        raise ValueError("edges must be canonical: ids in 0..n-1, u < v on "
-                         "each link, links strictly ascending")
-    ends.flags.writeable = False
-    return ends
 
 
 @dataclass(frozen=True)
@@ -156,8 +167,8 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray,
     dedupes the links and lists them canonically.  Node ids that are not
     integers, or lie outside 0..n-1, are an error, which names the first
     such pair in input order; so is an n that breaks _integer's rule.  The
-    Graph gets the int64 ends it was built from, through Graph.ends' check,
-    so its first reader does not rebuild them from the tuples.
+    Graph is handed the deduped links as a (k, 2) int64 array, which its
+    constructor checks and stores as ends; no tuple is built.
     """
     n = _integer("n", n)
     if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
@@ -179,9 +190,7 @@ def make_graph(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray,
     # keys, where this sort takes 4 ms
     key = np.sort((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
     u, v = np.divmod(key[np.diff(key, prepend=-1) > 0], n)
-    g = Graph(n=n, edges=list(zip(u.tolist(), v.tolist())), labels=labels)
-    vars(g)["ends"] = _canonical_ends(n, np.stack((u, v), axis=1).ravel())
-    return g
+    return Graph(n, np.stack((u, v), axis=1), labels)
 
 
 def load_edge_list(source: str | Iterable[str]) -> Graph:
@@ -202,10 +211,11 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
     empty graph.
 
     _BAD_LINE alone vets the text; numpy's C tokenizer (np.loadtxt) then
-    reads the ids as int64, splitting on the same whitespace as str.split.
-    Where it raises ValueError instead, on an id of 2**63 or more or on a
-    "\r" inside a line, the ids are read as Python ints, which gives the
-    same graph.
+    reads the ids as int64, splitting on the same whitespace as str.split
+    once a "\r" inside a line, which it would refuse, reads as a space.
+    Only an id of 2**63 or more makes it raise ValueError; the ids are then
+    read as Python ints, which never form a dense range, so they are
+    relabeled.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     # Outer whitespace never counts, so stripping each line's tail drops
@@ -222,7 +232,7 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
     if not text.strip():  # no link line; loadtxt would warn "input contained no data"
         return make_graph(0, [])
     try:
-        ids = np.loadtxt(text.split("\n"), np.int64, ndmin=2).ravel()
+        ids = np.loadtxt(text.replace("\r", " ").split("\n"), np.int64, ndmin=2).ravel()
     except ValueError:
         ids = list(map(int, text.split()))
     else:
@@ -232,8 +242,6 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
         ids = ids.tolist()
     labels = list(dict.fromkeys(ids))
     n = len(labels)
-    if max(labels) == n - 1:
-        return make_graph(n, np.fromiter(ids, np.int64, len(ids)).reshape(-1, 2))
     dense = dict(zip(labels, range(n)))
     pairs = np.fromiter(map(dense.__getitem__, ids), np.int64, len(ids)).reshape(-1, 2)
     return make_graph(n, pairs, labels=labels)
@@ -297,7 +305,7 @@ def remove_nodes(g: Graph, victims: Iterable[int]) -> tuple[Graph, list[int]]:
     # The relabel keeps id order, so the kept links stay canonical.
     edges = [(new_id[u], new_id[v]) for u, v in g.edges if u in new_id and v in new_id]
     labels = [g.labels[old] for old in survivors] if g.labels is not None else None
-    return Graph(n=len(survivors), edges=edges, labels=labels), survivors
+    return Graph(len(survivors), edges, labels), survivors
 
 
 def remove_links(g: Graph, victims: Iterable[tuple[int, int]]) -> Graph:
@@ -307,4 +315,4 @@ def remove_links(g: Graph, victims: Iterable[tuple[int, int]]) -> Graph:
     that is no link of g, raises ValueError.  Isolated nodes stay, as link sweeps count them.
     """
     gone = set(_link_ids(g, list(victims)))
-    return Graph(n=g.n, edges=[e for i, e in enumerate(g.edges) if i not in gone], labels=g.labels)
+    return Graph(g.n, [e for i, e in enumerate(g.edges) if i not in gone], g.labels)

@@ -70,10 +70,10 @@ _BLOCK_CELLS = 140_000
 class FlowAssignment:
     """Per-link flow counts from routing every deliverable ordered pair.
 
-    link_load is aligned with Graph.edges (a masked route gives its removed
-    links 0); delivered counts ordered pairs
-    (so it is even and sums s*(s-1) over component sizes); max_link_load is
-    the bottleneck count, 0 when the graph has no links.
+    link_load[e] is the load of link e, the graph's (ends[2e], ends[2e + 1])
+    (a masked route gives its removed links 0); delivered counts ordered
+    pairs (so it is even and sums s*(s-1) over component sizes);
+    max_link_load is the bottleneck count, 0 when the graph has no links.
     """
 
     link_load: np.ndarray
@@ -91,7 +91,7 @@ def _pair_counts(g: Graph, rank: np.ndarray, targets: Sequence[int]) -> list[int
 
     Newman & Ziff's (2000) percolation pass, run backwards over an attack:
     the links join a union-find (union by size, path halving; Tarjan 1975)
-    in descending rank, ties in g.edges order, and a merge of components of
+    in descending rank, ties in link id order, and a merge of components of
     sizes a and b adds 2ab ordered pairs.  The running total, read at each
     target from the largest down (targets may come in any order and
     repeat), is the sum of s*(s-1) over the masked graph's components.  The
@@ -128,7 +128,7 @@ def _pair_counts(g: Graph, rank: np.ndarray, targets: Sequence[int]) -> list[int
 def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     """Route every deliverable ordered pair and tally per-link flows.
 
-    With keep, a boolean array of shape (g.m,) over g.edges (anything else
+    With keep, a boolean array of shape (g.m,) over g's link ids (anything else
     raises ValueError), routes g masked to the kept links without building a
     Graph: the kept slots of g's CSR (_cut) keep each row in ascending
     neighbor order and still name g's link ids, so removed links read 0.
@@ -404,15 +404,14 @@ def masked_throughputs(
     mode: str = DEFAULT_MODE, jobs: int = 1,
 ) -> list[list[float]]:
     """Throughput of g masked to the links with rank >= t: for each trial's
-    rank array in ranks (aligned with g.edges, nonnegative), its values at
+    rank array in ranks (one nonnegative rank per link id), its values at
     the targets t, in target order.
 
     Removed nodes stay as isolated nodes.  bottleneck mode routes each
     masked sample and returns deliverable pairs over the bottleneck load,
     0.0 when nothing routes.  flow-ratio mode returns deliverable pair
     counts (ints, so ratios of counts divide exactly as int/int) from one
-    reverse union-find pass per trial, without routing.  Both modes refuse
-    a non-canonical edge list, as g.ends does.
+    reverse union-find pass per trial, without routing.
 
     A work item is one bottleneck sample or one flow-ratio trial.  Target 0
     keeps every link, so the intact route is one item shared by all trials.

@@ -104,6 +104,8 @@ def test_sweep_parameter_validation():
         sweep(s5, plan, 1.2, 4)
     with pytest.raises(ValueError):
         sweep(s5, plan, 0.8, 4, "fastest")
+    with pytest.raises(ValueError, match="unknown throughput mode 'bogus'"):
+        sweep(s5, plan, 0.8, 4, "bogus", throughputs=[8, 6, 4, 2, 0])
     # bad entries inside the removed prefix fail like remove_nodes/remove_links
     for bad in (-1, 5, 1.5):
         with pytest.raises(ValueError, match=f"victim id {bad}"):

@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import pickle
 import random
 import re
 import warnings
@@ -17,6 +19,7 @@ from netelast import (
     complete_graph,
     connected_components,
     cycle_graph,
+    degree_histogram,
     dump_edge_list,
     erdos_renyi,
     grid_graph,
@@ -32,11 +35,12 @@ from netelast import (
     route_all_pairs,
     scale_free_ba,
     star_graph,
+    summarize,
     sweep,
     throughput,
     wheel_graph,
 )
-from netelast.routing import delivered_flow_count, masked_throughputs
+from netelast.routing import MODES, delivered_flow_count, masked_throughputs
 
 
 def test_load_path_graph():
@@ -177,8 +181,8 @@ def test_text_without_a_link_line_loads_the_empty_graph_without_a_warning(text, 
 
 def test_a_carriage_return_inside_a_line_loads_as_whitespace():
     # numpy's tokenizer refuses a "\r" inside a line, which a list of lines
-    # or a file read with newline="\n" can hold; the loader then reads the
-    # ids as Python ints, and a dense graph still keeps its ids
+    # or a file read with newline="\n" can hold, so the loader hands it a
+    # space there; a dense graph still keeps its ids
     for lines, graph in [(["0\r1", "1 2"], (3, [(0, 1), (1, 2)], None)),
                          (["5\r9", "9 5"], (2, [(0, 1)], [5, 9]))]:
         assert load_outcome(load_edge_list, lines) == load_outcome(reference_load, lines) == graph
@@ -408,12 +412,13 @@ def test_csr_rows_slot_links_and_degrees(g):
     [(0, 1), (1, 1), (1, 2)],  # self-loop
     [(0, 1), (1, 3)],  # id past n - 1
     [(0, 2), (0, 1)],  # links out of order
-], ids=["duplicate", "self-loop", "out-of-range", "descending"])
+    np.array([[0, 1], [1, 2.5]]),  # ids that are not integers, which astype would truncate
+], ids=["duplicate", "self-loop", "out-of-range", "descending", "float-array"])
 def test_non_canonical_edge_list_is_refused(edges):
-    # Every reader of the links as numbers reads g.ends, which refuses the
-    # list with one message.
-    readers = [lambda g: g.ends, lambda g: g.csr, Graph.degrees, route_all_pairs, laplacian,
-               connected_components, delivered_flow_count,
+    # Constructing the Graph refuses the list with one message, so no reader
+    # of the links as numbers, all of which read g.ends, ever sees it.
+    readers = [lambda g: g, lambda g: g.ends, lambda g: g.csr, Graph.degrees, route_all_pairs,
+               laplacian, connected_components, delivered_flow_count,
                lambda g: plan_targeted_degree(g, g.n),
                lambda g: throughput(g, "flow-ratio"),
                lambda g: averaged_elasticity(g, "random-link", trials=2, mode="flow-ratio")]
@@ -428,14 +433,46 @@ def test_ends_are_built_once_and_read_only():
     assert g.ends.tolist() == [0, 1, 1, 2]
     with pytest.raises(ValueError, match="read-only"):
         g.ends[0] = 2
+    links = np.array([[0, 1], [1, 2]])
+    assert Graph(3, links) == g and links.flags.writeable  # the caller's array is copied
+
+
+def test_a_copied_graph_is_checked_again_and_caches_nothing():
+    # pickle (what a spawn or forkserver pool does to its initargs) and
+    # deepcopy rebuild a Graph through its constructor from n, ends, labels
+    g = load_edge_list("10 20\n20 30\n30 10\n30 40\n")
+    assert g.csr and g.edges
+    for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert copied == g and copied.labels == [10, 20, 30, 40]
+        assert not copied.ends.flags.writeable
+        assert "csr" not in vars(copied) and "edges" not in vars(copied)
+    assert g != Graph(g.n, g.ends) and g != (g.n, g.ends, g.labels)
+
+
+def test_the_numeric_pipeline_never_builds_the_tuple_view():
+    # Every numeric reader takes g.ends.  g.edges is read only by a random
+    # link plan's link order, by _link_ids (a sweep of a link plan and
+    # remove_links), by remove_nodes and by dump_edge_list.
+    g = grid_graph(4, 4)
+    summarize(g)
+    degree_histogram(g)
+    laplacian(g)
+    route_all_pairs(g)
+    sweep(g, plan_targeted_degree(g, g.n), 0.5, 4)
+    for mode in MODES:
+        for strategy in ("degree", "random-node"):
+            averaged_elasticity(g, strategy, trials=2, steps=4, mode=mode)
+    assert "edges" not in vars(g)
+    plan_random_links(g, 2, seed=1)
+    assert "edges" in vars(g)
 
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(0, 9), data=st.data())
 def test_make_graph_hands_its_graph_the_ends_graph_would_build(n, data):
-    # make_graph sets ends itself; a Graph of the same links builds the
-    # same read-only array, and one whose links are out of order still
-    # fails on its first read
+    # a Graph built from make_graph's links as tuples stores the same
+    # read-only array, and one whose links are out of order is refused
+    # at construction
     pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                max_size=20) if n else st.just([]))
     g = make_graph(n, pairs)
@@ -446,7 +483,7 @@ def test_make_graph_hands_its_graph_the_ends_graph_would_build(n, data):
     assert not g.ends.flags.writeable
     if g.m >= 2:
         with pytest.raises(ValueError, match="edges must be canonical"):
-            Graph(g.n, g.edges[::-1]).ends
+            Graph(g.n, g.edges[::-1])
 
 
 GRID = grid_graph(3, 3)
