@@ -72,8 +72,9 @@ def _add_source_options(p: argparse.ArgumentParser) -> None:
 def _add_sweep_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attack", choices=STRATEGIES, default="degree")
     p.add_argument("--mode", choices=MODES, default=DEFAULT_MODE)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                   help=f"trials for random attacks (default {DEFAULT_TRIALS}); targeted runs once")
+    p.add_argument(
+        "--trials", type=int, default=DEFAULT_TRIALS,
+        help=f"trials for random attacks (default {DEFAULT_TRIALS}); targeted runs once")
     p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
     p.add_argument("--max-removal", type=float, default=DEFAULT_MAX_REMOVAL,
                    help="fraction of entities removed by the end of a sweep")

@@ -49,15 +49,23 @@ class EdgeListParseError(ValueError):
 class Graph:
     """Undirected simple graph with node ids exactly 0..n-1.
 
-    ends is the one stored copy of the links: the canonical link list, (u, v)
-    with u < v sorted lexicographically (so any subset of it is canonical
-    too), flattened to read-only int64 [u0, v0, u1, v1, ...]; link id e
-    names (ends[2e], ends[2e + 1]).  The constructor takes the links as
-    (u, v) pairs, or as an integer array of shape (k, 2) or (2k,), which it
-    copies; anything else, or links that are not canonical, raise
-    ValueError, so every reader may rely on ends.  labels, when present,
-    maps each dense id back to the external id it was loaded under.  Graphs
-    compare by value and are not hashable.
+    The constructor is the one place that checks and canonicalizes a graph.
+    n must follow _integer's rule and is stored as an int.  The links are
+    (u, v) pairs, or an integer array of them of shape (k, 2); an integer
+    array of any other shape, or a node id that is not an integer or lies
+    outside 0..n-1, raises ValueError naming the shape or the first such
+    pair in input order.  Self-loops are dropped, and each link is keyed
+    u*n + v with u < v, so sorting the keys and dropping repeats dedupes
+    the links and lists them canonically: any list of pairs gives the
+    graph of its set of links.  labels, when present, maps each dense id
+    back to the external id it was loaded under, so it must have n
+    entries.
+
+    ends is the one stored copy of the links: the canonical link list, (u,
+    v) with u < v sorted lexicographically (so any subset of it is
+    canonical too), flattened to read-only int64 [u0, v0, u1, v1, ...];
+    link id e names (ends[2e], ends[2e + 1]).  Graphs compare by value and
+    are not hashable.
     """
 
     n: int
@@ -65,16 +73,31 @@ class Graph:
     labels: list[int] | None = None
 
     def __post_init__(self) -> None:
-        ends = np.array(self.ends)  # a copy, so the caller's array is never frozen
-        ends = ends.astype(np.int64, copy=False) if ends.dtype.kind in "iu" or not ends.size else ends
-        u, v = ends.reshape(-1)[0::2], ends.reshape(-1)[1::2]
-        if ends.shape not in {(2 * len(v),), (len(v), 2)} or len(u) and not (
-                ends.dtype == np.int64 and u.min() >= 0 and v.max() < self.n
-                and (u < v).all() and (np.diff(u * self.n + v) > 0).all()):
-            raise ValueError("edges must be canonical: integer ids in 0..n-1, u < v on "
-                             "each link, links strictly ascending")
-        ends = ends.reshape(-1)
-        ends.flags.writeable = False
+        n, pairs = _integer("n", self.n), self.ends
+        if self.labels is not None and len(self.labels) != n:
+            raise ValueError(f"labels must have n={n} entries, got {len(self.labels)}")
+        if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
+            if pairs.ndim != 2 or pairs.shape[1] != 2:
+                raise ValueError("an integer edge array must have shape (k, 2), "
+                                 f"got shape {pairs.shape}")
+        else:
+            pairs = pairs.tolist() if isinstance(pairs, np.ndarray) else list(pairs)
+            _check_integer_pairs(pairs)
+        try:
+            ends = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+            in_range = not len(ends) or (ends.min() >= 0 and ends.max() < n)
+        except OverflowError:  # an id past int64 is out of range for any n
+            in_range = False
+        if not in_range:
+            u, v = next((u, v) for u, v in pairs if not (0 <= u < n and 0 <= v < n))
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        a, b = ends[:, 0], ends[:, 1]
+        # np.unique would do, but numpy 2.4's hashes first: 0.12 s on 300k
+        # keys, where this sort takes 4 ms
+        key = np.sort((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
+        ends = np.stack(np.divmod(key[np.diff(key, prepend=-1) > 0], n), axis=1).reshape(-1)
+        ends.flags.writeable = False  # a new array, so the caller's is never frozen
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "ends", ends)
 
     def __eq__(self, other: object) -> bool:
@@ -82,8 +105,9 @@ class Graph:
                 and np.array_equal(self.ends, other.ends))
 
     def __reduce__(self) -> tuple:
-        # a copy goes back through the constructor: checked, read-only, no caches
-        return Graph, (self.n, self.ends, self.labels)
+        # a copy goes back through the constructor as (k, 2) links: checked,
+        # canonicalized again, read-only, no caches
+        return Graph, (self.n, self.ends.reshape(-1, 2), self.labels)
 
     @property
     def m(self) -> int:
@@ -145,8 +169,8 @@ def _check_integer_pairs(pairs: Collection[tuple[int, int]]) -> None:
 def _integer(name: str, value: int, low: int | None = 0, high: int | None = None) -> int:
     """value as a plain int, if it is an int or numpy integer in low..high (no
     bound where low or high is None); anything else, True too, raises
-    ValueError naming the argument.  The rule of every integer argument but
-    victim ids, which keep their own."""
+    ValueError naming the argument.  The rule of every integer argument,
+    Graph's n among them, but victim ids, which keep their own."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if integer and (low is None or low <= value) and (high is None or value <= high):
         return int(value)
@@ -159,38 +183,9 @@ def _integer(name: str, value: int, low: int | None = 0, high: int | None = None
 
 def make_graph(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray,
                labels: list[int] | None = None) -> Graph:
-    """Build a Graph from (u, v) pairs, or from an int array of them of
-    shape (k, 2); an int array of any other shape is an error.
-
-    The one canonicalizer of links: self-loops are dropped, and each link
-    is keyed u*n + v with u < v, so sorting the keys and dropping repeats
-    dedupes the links and lists them canonically.  Node ids that are not
-    integers, or lie outside 0..n-1, are an error, which names the first
-    such pair in input order; so is an n that breaks _integer's rule.  The
-    Graph is handed the deduped links as a (k, 2) int64 array, which its
-    constructor checks and stores as ends; no tuple is built.
-    """
-    n = _integer("n", n)
-    if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError(f"an integer edge array must have shape (k, 2), got shape {pairs.shape}")
-    else:
-        pairs = pairs.tolist() if isinstance(pairs, np.ndarray) else list(pairs)
-        _check_integer_pairs(pairs)
-    try:
-        ends = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        in_range = not len(ends) or (ends.min() >= 0 and ends.max() < n)
-    except OverflowError:  # an id past int64 is out of range for any n
-        in_range = False
-    if not in_range:
-        u, v = next((u, v) for u, v in pairs if not (0 <= u < n and 0 <= v < n))
-        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-    a, b = ends[:, 0], ends[:, 1]
-    # np.unique would do, but numpy 2.4's hashes first: 0.12 s on 300k
-    # keys, where this sort takes 4 ms
-    key = np.sort((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
-    u, v = np.divmod(key[np.diff(key, prepend=-1) > 0], n)
-    return Graph(n, np.stack((u, v), axis=1), labels)
+    """Graph(n, pairs, labels), under the name the loader and the
+    generators call; Graph's docstring gives the rules."""
+    return Graph(n, pairs, labels)
 
 
 def load_edge_list(source: str | Iterable[str]) -> Graph:
@@ -201,14 +196,14 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
     underscore or non-ASCII digit); blank lines and lines starting with
     ``#`` are ignored.  A str is split into lines by str.splitlines; any
     other iterable, such as a text file, yields one line per item.  The
-    first bad line raises EdgeListParseError with its line number.
-    Self-loops are dropped and duplicates deduplicated (a node mentioned
-    only in a self-loop still counts as present).  External ids that
-    already form a dense 0..n-1 range are kept verbatim, so canonical
-    serializations reload to the identical graph; anything sparser is
-    relabeled to dense ids in first-appearance order, with the original
-    ids retained as labels, whatever their size.  Empty input gives the
-    empty graph.
+    first bad line raises EdgeListParseError with its line number.  The
+    Graph is built by make_graph, so self-loops are dropped and duplicates
+    deduplicated (a node mentioned only in a self-loop still counts as
+    present).  External ids that already form a dense 0..n-1 range are
+    kept verbatim, so canonical serializations reload to the identical
+    graph; anything sparser is relabeled to dense ids in first-appearance
+    order, with the original ids retained as labels, whatever their size.
+    Empty input gives the empty graph.
 
     _BAD_LINE alone vets the text; numpy's C tokenizer (np.loadtxt) then
     reads the ids as int64, splitting on the same whitespace as str.split

@@ -169,7 +169,8 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     return _route(g, keep)
 
 
-def _route(g: Graph, keep: np.ndarray | None = None, part: int = 0, parts: int = 1) -> FlowAssignment:
+def _route(g: Graph, keep: np.ndarray | None = None, part: int = 0,
+           parts: int = 1) -> FlowAssignment:
     """Share part of parts of route_all_pairs(g, keep): the loads of the
     routes into the core roots roots[part::parts] (interleaved, so each
     share spreads over the core and its components), and, in share 0
@@ -420,9 +421,9 @@ def masked_throughputs(
     Above 1, a bottleneck sample too large for one worker is cut into root
     shares, whose exact loads the parent sums as they arrive.  Items run
     largest first in min(jobs, items) processes; a pool's workers get g and
-    the ranks once, and fork after scipy is imported.  jobs never changes the values; an unknown mode, a
-    rank array not of shape (g.m,) or with a negative rank is refused before
-    any pool starts.
+    the ranks once, and fork after scipy is imported.  jobs never changes
+    the values; an unknown mode, a rank array not of shape (g.m,) or with a
+    negative rank is refused before any pool starts.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")

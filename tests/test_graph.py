@@ -239,9 +239,10 @@ def test_make_graph_and_remove_links_name_the_first_item_that_is_not_a_pair(pair
     (np.zeros((2, 2, 2), dtype=int), "an integer edge array must have shape (k, 2), got shape (2, 2, 2)"),
 ])
 def test_make_graph_names_the_shape_of_an_integer_array_that_is_not_k_by_2(pairs, message):
-    with pytest.raises(ValueError) as exc:
-        make_graph(3, pairs)
-    assert str(exc.value) == message
+    for build in (make_graph, Graph):
+        with pytest.raises(ValueError) as exc:
+            build(3, pairs)
+        assert str(exc.value) == message
 
 
 @settings(max_examples=200, deadline=None)
@@ -250,14 +251,18 @@ def test_make_graph_names_the_shape_of_an_integer_array_that_is_not_k_by_2(pairs
 def test_make_graph_canonicalizes_like_a_set(n, pairs):
     bad = [p for p in pairs if not (0 <= p[0] < n and 0 <= p[1] < n)]
     if bad:
-        with pytest.raises(ValueError, match=rf"^edge \({bad[0][0]}, {bad[0][1]}\) out of range"):
-            make_graph(n, pairs)
+        first = rf"^edge \({bad[0][0]}, {bad[0][1]}\) out of range"
+        for build in (make_graph, Graph):
+            with pytest.raises(ValueError, match=first):
+                build(n, pairs)
         return
     expected = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
     for given_pairs in (pairs, iter(pairs), np.array(pairs, dtype=np.int64).reshape(-1, 2)):
         g = make_graph(n, given_pairs)
         assert (g.n, g.edges) == (n, expected)
         assert all(type(x) is int for e in g.edges for x in e)
+    g = Graph(n, pairs)  # the constructor itself, not through make_graph
+    assert (g.n, g.edges) == (n, expected)
 
 
 def test_components():
@@ -407,30 +412,63 @@ def test_csr_rows_slot_links_and_degrees(g):
             assert g.edges[slot_link[s]] == (min(v, indices[s]), max(v, indices[s]))
 
 
-@pytest.mark.parametrize("edges", [
-    [(0, 1), (1, 2), (0, 2), (0, 2)],  # repeated link
-    [(0, 1), (1, 1), (1, 2)],  # self-loop
-    [(0, 1), (1, 3)],  # id past n - 1
-    [(0, 2), (0, 1)],  # links out of order
-    np.array([[0, 1], [1, 2.5]]),  # ids that are not integers, which astype would truncate
-], ids=["duplicate", "self-loop", "out-of-range", "descending", "float-array"])
-def test_non_canonical_edge_list_is_refused(edges):
-    # Constructing the Graph refuses the list with one message, so no reader
-    # of the links as numbers, all of which read g.ends, ever sees it.
-    readers = [lambda g: g, lambda g: g.ends, lambda g: g.csr, Graph.degrees, route_all_pairs,
-               laplacian, connected_components, delivered_flow_count,
-               lambda g: plan_targeted_degree(g, g.n),
-               lambda g: throughput(g, "flow-ratio"),
-               lambda g: averaged_elasticity(g, "random-link", trials=2, mode="flow-ratio")]
-    for read in readers:
-        with pytest.raises(ValueError, match="edges must be canonical"):
-            read(Graph(3, edges))
+# Every reader of the links as numbers reads g.ends, which the constructor
+# alone builds.
+READERS = [lambda g: g, lambda g: g.ends, lambda g: g.csr, Graph.degrees, route_all_pairs,
+           laplacian, connected_components, delivered_flow_count,
+           lambda g: plan_targeted_degree(g, g.n),
+           lambda g: throughput(g, "flow-ratio"),
+           lambda g: averaged_elasticity(g, "random-link", trials=2, mode="flow-ratio")]
+
+
+@pytest.mark.parametrize("edges, canonical", [
+    ([(0, 1), (1, 2), (0, 2), (0, 2)], [(0, 1), (0, 2), (1, 2)]),  # repeated link
+    ([(0, 1), (1, 1), (1, 2)], [(0, 1), (1, 2)]),  # self-loop
+    ([(0, 2), (0, 1)], [(0, 1), (0, 2)]),  # links out of order
+    ([(1, 0), (0, 1), (2, 2)], [(0, 1)]),  # one link both ways, and a self-loop
+], ids=["duplicate", "self-loop", "descending", "reversed"])
+def test_non_canonical_edge_list_is_canonicalized(edges, canonical):
+    # Graph(n, pairs) is make_graph(n, pairs): the graph of the set of
+    # links, so every reader sees the canonical graph, whichever is called.
+    g = Graph(3, edges)
+    assert g == make_graph(3, edges) == make_graph(3, canonical) and g.edges == canonical
+    for read in READERS:
+        # pickled bytes compare arrays, dataclasses and floats exactly
+        builds = (g, make_graph(3, edges), make_graph(3, canonical))
+        assert len({pickle.dumps(read(h)) for h in builds}) == 1
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (1, 3)], "edge (1, 3) out of range for n=3"),  # id past n - 1
+    # ids that are not integers, which astype would truncate
+    (np.array([[0, 1], [1, 2.5]]), "edge (0.0, 1.0) has a node id that is not an integer"),
+], ids=["out-of-range", "float-array"])
+def test_non_canonical_edge_list_is_refused(edges, message):
+    # The constructor refuses the list with make_graph's message, so no
+    # reader ever sees it.
+    for build in (Graph, make_graph):
+        with pytest.raises(ValueError) as exc:
+            build(3, edges)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n, links, labels", [
+    (3, [(0, 1)], [7]), (1, [], [7, 8]), (0, [], [7])])
+def test_labels_name_every_node_once(n, links, labels):
+    # one external id per node: a label list of another length is refused
+    # at construction, not when a reader first indexes it
+    for build in (Graph, make_graph):
+        with pytest.raises(ValueError) as exc:
+            build(n, links, labels)
+        assert str(exc.value) == f"labels must have n={n} entries, got {len(labels)}"
+    assert Graph(2, [(0, 1)], [7, 9]).labels == [7, 9]
 
 
 def test_ends_are_built_once_and_read_only():
     g = make_graph(3, [(0, 1), (1, 2)])
     assert g.ends is g.ends
-    assert g.ends.tolist() == [0, 1, 1, 2]
+    assert g.ends.tolist() == [0, 1, 1, 2] and g.ends.dtype == np.int64
+    assert not g.ends.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         g.ends[0] = 2
     links = np.array([[0, 1], [1, 2]])
@@ -439,14 +477,15 @@ def test_ends_are_built_once_and_read_only():
 
 def test_a_copied_graph_is_checked_again_and_caches_nothing():
     # pickle (what a spawn or forkserver pool does to its initargs) and
-    # deepcopy rebuild a Graph through its constructor from n, ends, labels
+    # deepcopy rebuild a Graph through its constructor from n, its links as
+    # a (k, 2) view of ends, and labels
     g = load_edge_list("10 20\n20 30\n30 10\n30 40\n")
     assert g.csr and g.edges
     for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
         assert copied == g and copied.labels == [10, 20, 30, 40]
         assert not copied.ends.flags.writeable
         assert "csr" not in vars(copied) and "edges" not in vars(copied)
-    assert g != Graph(g.n, g.ends) and g != (g.n, g.ends, g.labels)
+    assert g != Graph(g.n, g.ends.reshape(-1, 2)) and g != (g.n, g.ends, g.labels)
 
 
 def test_the_numeric_pipeline_never_builds_the_tuple_view():
@@ -465,25 +504,6 @@ def test_the_numeric_pipeline_never_builds_the_tuple_view():
     assert "edges" not in vars(g)
     plan_random_links(g, 2, seed=1)
     assert "edges" in vars(g)
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(0, 9), data=st.data())
-def test_make_graph_hands_its_graph_the_ends_graph_would_build(n, data):
-    # a Graph built from make_graph's links as tuples stores the same
-    # read-only array, and one whose links are out of order is refused
-    # at construction
-    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                               max_size=20) if n else st.just([]))
-    g = make_graph(n, pairs)
-    assert "ends" in vars(g)
-    built = Graph(g.n, g.edges).ends
-    assert g.ends.dtype == built.dtype == np.int64
-    assert g.ends.tolist() == built.tolist()
-    assert not g.ends.flags.writeable
-    if g.m >= 2:
-        with pytest.raises(ValueError, match="edges must be canonical"):
-            Graph(g.n, g.edges[::-1])
 
 
 GRID = grid_graph(3, 3)
@@ -517,6 +537,8 @@ def echoed(name):
                  id="scale_free_ba-seed"),
     pytest.param("n", 2, NOT_INTEGERS, lambda v: make_graph(v, [(0, 1)]), lambda g: g.n,
                  id="make_graph-n"),
+    pytest.param("n", 3, (*NOT_INTEGERS, -1), lambda v: Graph(v, [(0, 1)]), lambda g: g.n,
+                 id="Graph-n"),
     pytest.param("trials", 2, NOT_INTEGERS, lambda v: study(trials=v), echoed("trials"),
                  id="averaged_elasticity-trials"),
     pytest.param("steps", 2, NOT_INTEGERS, lambda v: study(steps=v), echoed("steps"),
