@@ -15,14 +15,13 @@ full sweep scores exactly 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .attacks import AttackPlan, _random_plan, plan_targeted_degree
-from .graph import Graph, _integer, _link_ids, _node_ids
+from .graph import Graph, _integer, _is_real, _link_ids, _node_ids
 from .routing import DEFAULT_MODE, MODES, masked_throughputs
 
 __all__ = [
@@ -124,8 +123,7 @@ def _sweep_targets(
     the last target.  steps follows _integer's rule; masked_throughputs
     checks the mode, and sweep does when it is given the throughputs.
     """
-    if isinstance(max_removal_fraction, bool) or not (
-            isinstance(max_removal_fraction, numbers.Real) and 0.0 < max_removal_fraction <= 1.0):
+    if not (_is_real(max_removal_fraction) and 0.0 < max_removal_fraction <= 1.0):
         raise ValueError("max_removal_fraction must lie in (0, 1]")
     steps = _integer("steps", steps)
     if plan.kind not in ("node", "link"):

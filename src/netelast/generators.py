@@ -1,14 +1,14 @@
 """Synthetic topology generators: fixed families plus seeded random models.
 
-Every size follows _integer's rule with no bound there; each generator
-states its own range."""
+Every size follows _integer's rule, with the range each generator states
+through it."""
 
 from __future__ import annotations
 
 import random
 from typing import Sequence
 
-from .graph import Graph, _integer, make_graph
+from .graph import Graph, _integer, _is_real, make_graph
 
 __all__ = [
     "complete_graph",
@@ -25,39 +25,29 @@ __all__ = [
 
 
 def path_graph(n: int) -> Graph:
-    n = _integer("n", n, None)
-    if n < 1:
-        raise ValueError("path requires n >= 1")
+    n = _integer("n", n, 1)
     return make_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    n = _integer("n", n, None)
-    if n < 3:
-        raise ValueError("cycle requires n >= 3")
+    n = _integer("n", n, 3)
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    n = _integer("n", n, None)
-    if n < 1:
-        raise ValueError("complete requires n >= 1")
+    n = _integer("n", n, 1)
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def star_graph(n: int) -> Graph:
     """Hub node 0 joined to n-1 leaves."""
-    n = _integer("n", n, None)
-    if n < 1:
-        raise ValueError("star requires n >= 1")
+    n = _integer("n", n, 1)
     return make_graph(n, [(0, i) for i in range(1, n)])
 
 
 def wheel_graph(n: int) -> Graph:
     """Hub node 0 joined to every node of the rim cycle 1..n-1."""
-    n = _integer("n", n, None)
-    if n < 4:
-        raise ValueError("wheel requires n >= 4")
+    n = _integer("n", n, 4)
     pairs = [(0, i) for i in range(1, n)]
     rim = list(range(1, n))
     pairs += [(rim[i], rim[(i + 1) % len(rim)]) for i in range(len(rim))]
@@ -66,9 +56,7 @@ def wheel_graph(n: int) -> Graph:
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """4-neighbor lattice; node (r, c) gets id r*cols + c."""
-    rows, cols = _integer("rows", rows, None), _integer("cols", cols, None)
-    if rows < 1 or cols < 1:
-        raise ValueError("grid requires rows, cols >= 1")
+    rows, cols = _integer("rows", rows, 1), _integer("cols", cols, 1)
     pairs = []
     for r in range(rows):
         for c in range(cols):
@@ -89,12 +77,11 @@ def _rng(seed: int) -> random.Random:
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p): each of the n(n-1)/2 links present independently with
-    probability p.  A negative seed is refused."""
-    n = _integer("n", n, None)
-    if n < 1:
-        raise ValueError("erdos_renyi requires n >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("edge probability must lie in [0, 1]")
+    probability p, a real number in [0, 1] other than a bool.  A negative
+    seed is refused."""
+    n = _integer("n", n, 1)
+    if not (_is_real(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
     rng = _rng(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return make_graph(n, pairs)
@@ -109,13 +96,9 @@ def scale_free_ba(n: int, seed_nodes: int, links_per_node: int, seed: int = 0) -
     simple).  When every existing node still has degree zero the draw falls
     back to uniform over existing nodes.  A negative seed is refused.
     """
-    n = _integer("n", n, None)
-    seed_nodes = _integer("seed_nodes", seed_nodes, None)
-    links_per_node = _integer("links_per_node", links_per_node, None)
-    if seed_nodes < 1 or n < seed_nodes:
-        raise ValueError("scale_free_ba requires 1 <= seed_nodes <= n")
-    if not 1 <= links_per_node <= seed_nodes:
-        raise ValueError("scale_free_ba requires 1 <= links_per_node <= seed_nodes")
+    n = _integer("n", n, 1)
+    seed_nodes = _integer("seed_nodes", seed_nodes, 1, n)
+    links_per_node = _integer("links_per_node", links_per_node, 1, seed_nodes)
     rng = _rng(seed)
     pairs = [(i, j) for i in range(seed_nodes) for j in range(i + 1, seed_nodes)]
     lottery: list[int] = []

@@ -8,6 +8,7 @@ freely across sweeps and worker processes.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,14 +53,14 @@ class Graph:
     The constructor is the one place that checks and canonicalizes a graph.
     n must follow _integer's rule and is stored as an int.  The links are
     (u, v) pairs, or an integer array of them of shape (k, 2); an integer
-    array of any other shape, or a node id that is not an integer or lies
-    outside 0..n-1, raises ValueError naming the shape or the first such
-    pair in input order.  Self-loops are dropped, and each link is keyed
-    u*n + v with u < v, so sorting the keys and dropping repeats dedupes
-    the links and lists them canonically: any list of pairs gives the
-    graph of its set of links.  labels, when present, maps each dense id
-    back to the external id it was loaded under, so it must have n
-    entries.
+    array of any other shape, or a node id that is not an integer (a bool
+    is not) or lies outside 0..n-1, raises ValueError naming the shape or
+    the first such pair in input order.  Self-loops are dropped, and each
+    link is keyed u*n + v with u < v, so sorting the keys and dropping
+    repeats dedupes the links and lists them canonically: any list of
+    pairs gives the graph of its set of links.  labels, when present, maps
+    each dense id back to the external id it was loaded under, so it must
+    have n entries; the graph keeps them as its own tuple.
 
     ends is the one stored copy of the links: the canonical link list, (u,
     v) with u < v sorted lexicographically (so any subset of it is
@@ -70,12 +71,13 @@ class Graph:
 
     n: int
     ends: np.ndarray
-    labels: list[int] | None = None
+    labels: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         n, pairs = _integer("n", self.n), self.ends
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError(f"labels must have n={n} entries, got {len(self.labels)}")
+        labels = None if self.labels is None else tuple(self.labels)
+        if labels is not None and len(labels) != n:
+            raise ValueError(f"labels must have n={n} entries, got {len(labels)}")
         if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
             if pairs.ndim != 2 or pairs.shape[1] != 2:
                 raise ValueError("an integer edge array must have shape (k, 2), "
@@ -99,6 +101,7 @@ class Graph:
         ends.flags.writeable = False  # a new array, so the caller's is never frozen
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "labels", labels)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph) and (self.n, self.labels) == (other.n, other.labels)
@@ -114,10 +117,11 @@ class Graph:
         return len(self.ends) // 2
 
     @cached_property
-    def edges(self) -> list[tuple[int, int]]:
+    def edges(self) -> tuple[tuple[int, int], ...]:
         """The links as (u, v) tuples of ints in canonical order, a view of
-        ends built on first read; no numeric reader needs it."""
-        return list(zip(self.ends[0::2].tolist(), self.ends[1::2].tolist()))
+        ends built on first read and, as a tuple, never changed; no numeric
+        reader needs it."""
+        return tuple(zip(self.ends[0::2].tolist(), self.ends[1::2].tolist()))
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,17 +166,28 @@ def _check_integer_pairs(pairs: Collection[tuple[int, int]]) -> None:
                 u, v = pair
             except (TypeError, ValueError):
                 raise ValueError(f"edge {pair!r} is not a pair of node ids") from None
-            if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))):
+            if not (_is_integer(u) and _is_integer(v)):
                 raise ValueError(f"edge ({u!r}, {v!r}) has a node id that is not an integer")
 
 
-def _integer(name: str, value: int, low: int | None = 0, high: int | None = None) -> int:
-    """value as a plain int, if it is an int or numpy integer in low..high (no
-    bound where low or high is None); anything else, True too, raises
-    ValueError naming the argument.  The rule of every integer argument,
-    Graph's n among them, but victim ids, which keep their own."""
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if integer and (low is None or low <= value) and (high is None or value <= high):
+def _is_integer(value: object) -> bool:
+    """Whether value is an int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    """Whether value is a real number (an integer too), and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(name: str, value: int, low: int = 0, high: int | None = None) -> int:
+    """value as a plain int, if _is_integer(value) and it lies in low..high
+    (no upper bound where high is None); anything else raises ValueError
+    naming the argument.  The one rule, type and range, of every integer
+    argument: Graph's n, each generator's sizes, counts, seeds, trials,
+    steps, jobs and size_guard.  Node ids take the same type test."""
+    integer = _is_integer(value)
+    if integer and low <= value and (high is None or value <= high):
         return int(value)
     if high is not None:
         raise ValueError(f"{name} must lie in {low}..{high}")
@@ -269,7 +284,7 @@ def _node_ids(g: Graph, ids: Collection[int]) -> Collection[int]:
     """ids, after refusing the first that is not an integer, then one outside 0..g.n-1."""
     if not set(map(type, ids)) <= {int}:  # a type pass costs half an isinstance loop
         for v in ids:
-            if not isinstance(v, (int, np.integer)):
+            if not _is_integer(v):
                 raise ValueError(f"victim id {v!r} is not an integer")
     for v in ids:
         if not 0 <= v < g.n:
@@ -294,7 +309,8 @@ def remove_nodes(g: Graph, victims: Iterable[int]) -> tuple[Graph, list[int]]:
     The second element maps new dense ids back to the ids they had in g
     (survivors in ascending order).  The input graph is left untouched.
     """
-    victim_set = _node_ids(g, set(victims))
+    # checked before the set, which would fold True or 1.0 into a 1 before it
+    victim_set = set(_node_ids(g, list(victims)))
     survivors = [v for v in range(g.n) if v not in victim_set]
     new_id = {old: i for i, old in enumerate(survivors)}
     # The relabel keeps id order, so the kept links stay canonical.

@@ -61,10 +61,12 @@ def eigenvalues(lap: np.ndarray) -> SpectralSummary:
 
     LAPACK's symmetric eigensolver (numpy.linalg.eigvalsh) does the work;
     the size guard sits in laplacian(), before the matrix is built.
+    Anything but a non-empty square 2-D array raises ValueError.
     """
-    if lap.shape[0] != lap.shape[1]:
-        raise ValueError("Laplacian must be square")
-    n = lap.shape[0]
+    shape = np.shape(lap)
+    if len(shape) != 2 or not shape[0] == shape[1] > 0:
+        raise ValueError(f"Laplacian must be a non-empty square 2-D array, got shape {shape}")
+    n = shape[0]
     values = tuple(np.linalg.eigvalsh(lap).tolist())
     return SpectralSummary(
         eigenvalues=values,

@@ -107,7 +107,7 @@ def test_sweep_parameter_validation():
     with pytest.raises(ValueError, match="unknown throughput mode 'bogus'"):
         sweep(s5, plan, 0.8, 4, "bogus", throughputs=[8, 6, 4, 2, 0])
     # bad entries inside the removed prefix fail like remove_nodes/remove_links
-    for bad in (-1, 5, 1.5):
+    for bad in (-1, 5, 1.5, True):
         with pytest.raises(ValueError, match=f"victim id {bad}"):
             sweep(s5, AttackPlan(kind="node", strategy="degree", order=(bad, 0, 1, 2, 3)), 0.8, 4)
     absent = AttackPlan(kind="link", strategy="random-link", order=((1, 2), (0, 1), (0, 2), (0, 3)))
@@ -119,7 +119,7 @@ def test_sweep_parameter_validation():
     def link_plan(first):
         return AttackPlan(kind="link", strategy="random-link", order=(first, (0, 1), (2, 3), (3, 4)))
 
-    for bad in ((1.0, 2), (1.5, 2), ("1", 2)):
+    for bad in ((1.0, 2), (1.5, 2), ("1", 2), (True, 2)):
         with pytest.raises(ValueError, match=re.escape(f"edge {bad!r} has a node id that is not an integer")):
             sweep(p5, link_plan(bad), 0.8, 4)
     for bad in ((1, 2, 3), 1):

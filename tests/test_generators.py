@@ -96,13 +96,16 @@ def test_parse_generator_spec():
 
 
 def test_invalid_parameters():
-    with pytest.raises(ValueError):
+    # each range is _integer's, so its message names the argument
+    with pytest.raises(ValueError, match=r"^n must be >= 4, got 3$"):
         wheel_graph(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rows must be >= 1, got 0$"):
+        generate("grid", ("0", "3"))
+    with pytest.raises(ValueError, match=r"^p must be a real number in \[0, 1\], got 1.5$"):
         erdos_renyi(5, 1.5, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^links_per_node must lie in 1\.\.3$"):
         scale_free_ba(10, 3, 4, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^seed_nodes must lie in 1\.\.2$"):
         scale_free_ba(2, 3, 1, seed=0)
     with pytest.raises(ValueError):
         generate("path", (), seed=0)

@@ -47,15 +47,15 @@ def test_load_path_graph():
     g = load_edge_list("0 1\n1 2")
     assert g.n == 3
     assert g.m == 2
-    assert g.edges == [(0, 1), (1, 2)]
+    assert g.edges == ((0, 1), (1, 2))
 
 
 def test_load_dedup_and_loop_drop():
     g = load_edge_list("5 5\n5 9\n9 5")
     assert g.n == 2
     assert g.m == 1
-    assert g.edges == [(0, 1)]
-    assert g.labels == [5, 9]
+    assert g.edges == ((0, 1),)
+    assert g.labels == (5, 9)
 
 
 def test_load_parse_error_reports_line():
@@ -82,8 +82,8 @@ def test_load_empty_and_comments():
 
 def test_load_first_appearance_relabeling():
     g = load_edge_list("10 20\n20 30\n5 10")
-    assert g.labels == [10, 20, 30, 5]
-    assert g.edges == [(0, 1), (0, 3), (1, 2)]
+    assert g.labels == (10, 20, 30, 5)
+    assert g.edges == ((0, 1), (0, 3), (1, 2))
 
 
 def reference_load(source):
@@ -113,8 +113,8 @@ def reference_load(source):
     if n and max(seen) != n - 1:
         dense = {ext: i for i, ext in enumerate(appearance)}
         raw_pairs = [(dense[a], dense[b]) for a, b in raw_pairs]
-        labels = appearance
-    return n, sorted({(min(a, b), max(a, b)) for a, b in raw_pairs}), labels
+        labels = tuple(appearance)
+    return n, tuple(sorted({(min(a, b), max(a, b)) for a, b in raw_pairs})), labels
 
 
 def load_outcome(load, source):
@@ -176,22 +176,22 @@ def test_text_without_a_link_line_loads_the_empty_graph_without_a_warning(text, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = load_edge_list(io.StringIO(text) if as_file else text)
-    assert (g.n, g.edges, g.labels, g.ends.tolist()) == (0, [], None, [])
+    assert (g.n, g.edges, g.labels, g.ends.tolist()) == (0, (), None, [])
 
 
 def test_a_carriage_return_inside_a_line_loads_as_whitespace():
     # numpy's tokenizer refuses a "\r" inside a line, which a list of lines
     # or a file read with newline="\n" can hold, so the loader hands it a
     # space there; a dense graph still keeps its ids
-    for lines, graph in [(["0\r1", "1 2"], (3, [(0, 1), (1, 2)], None)),
-                         (["5\r9", "9 5"], (2, [(0, 1)], [5, 9]))]:
+    for lines, graph in [(["0\r1", "1 2"], (3, ((0, 1), (1, 2)), None)),
+                         (["5\r9", "9 5"], (2, ((0, 1),), (5, 9)))]:
         assert load_outcome(load_edge_list, lines) == load_outcome(reference_load, lines) == graph
 
 
 def test_load_huge_sparse_ids_keep_their_labels():
     big = 2**64 + 7
     g = load_edge_list(f"{big} 3\n3 {2**63}\n")
-    assert (g.n, g.edges, g.labels) == (3, [(0, 1), (1, 2)], [big, 3, 2**63])
+    assert (g.n, g.edges, g.labels) == (3, ((0, 1), (1, 2)), (big, 3, 2**63))
 
 
 @pytest.mark.parametrize("pairs, message", [
@@ -212,11 +212,15 @@ def test_make_graph_names_the_first_pair_out_of_range(pairs, message):
     ([(0, 1), (2, 2.0)], "edge (2, 2.0) has a node id that is not an integer"),
     ([("1", "2")], "edge ('1', '2') has a node id that is not an integer"),
     (np.array([[0.0, 1.0], [1.5, 2.0]]), "edge (0.0, 1.0) has a node id that is not an integer"),
+    ([(0, 1), (True, False)], "edge (True, False) has a node id that is not an integer"),
+    (np.array([[True, False]]), "edge (True, False) has a node id that is not an integer"),
 ])
 def test_make_graph_names_the_first_pair_with_an_id_that_is_not_an_integer(pairs, message):
-    with pytest.raises(ValueError) as exc:
-        make_graph(3, pairs)
-    assert str(exc.value) == message
+    # a bool is no node id, though it is an int: True would name node 1
+    for build in (Graph, make_graph):
+        with pytest.raises(ValueError) as exc:
+            build(3, pairs)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("pairs, message", [
@@ -256,7 +260,7 @@ def test_make_graph_canonicalizes_like_a_set(n, pairs):
             with pytest.raises(ValueError, match=first):
                 build(n, pairs)
         return
-    expected = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    expected = tuple(sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
     for given_pairs in (pairs, iter(pairs), np.array(pairs, dtype=np.int64).reshape(-1, 2)):
         g = make_graph(n, given_pairs)
         assert (g.n, g.edges) == (n, expected)
@@ -310,9 +314,11 @@ def test_remove_nodes_identity_and_errors():
     h, survivors = remove_nodes(g, set())
     assert h.edges == g.edges and h.n == g.n
     assert survivors == list(range(6))
-    for bad in (6, 1.5):
+    for bad in (6, 1.5, True):
         with pytest.raises(ValueError, match=f"victim id {bad}"):
             remove_nodes(g, {bad})
+        with pytest.raises(ValueError, match=f"victim id {bad}"):
+            remove_nodes(g, [1, bad])  # a set would fold True into the 1
     assert g.m == 10  # original untouched
 
 
@@ -330,7 +336,7 @@ def test_remove_nodes_degree_recount():
 def test_remove_links():
     k3 = make_graph(3, [(0, 1), (1, 2), (0, 2)])
     p = remove_links(k3, [(0, 2)])
-    assert p.edges == [(0, 1), (1, 2)]
+    assert p.edges == ((0, 1), (1, 2))
     p2 = remove_links(make_graph(2, [(0, 1)]), [(1, 0)])  # orientation normalized
     assert p2.n == 2 and p2.m == 0
     same = remove_links(k3, [])
@@ -339,16 +345,16 @@ def test_remove_links():
         remove_links(p, [(0, 2)])
     # link ids follow make_graph's integer rule; a numpy integer is one
     p5 = path_graph(5)
-    for bad in ((1.0, 2), (1.5, 2), ("1", 2)):
+    for bad in ((1.0, 2), (1.5, 2), ("1", 2), (False, True)):
         with pytest.raises(ValueError, match=re.escape(f"edge {bad!r} has a node id that is not an integer")):
             remove_links(p5, [bad])
-    assert remove_links(p5, [(np.int64(2), 1)]).edges == [(0, 1), (2, 3), (3, 4)]
+    assert remove_links(p5, [(np.int64(2), 1)]).edges == ((0, 1), (2, 3), (3, 4))
 
 
 def test_dense_input_ids_kept_verbatim():
     g = load_edge_list("1 2\n0 2")
     assert g.n == 3
-    assert g.edges == [(0, 2), (1, 2)]
+    assert g.edges == ((0, 2), (1, 2))
     assert g.labels is None
 
 
@@ -431,7 +437,7 @@ def test_non_canonical_edge_list_is_canonicalized(edges, canonical):
     # Graph(n, pairs) is make_graph(n, pairs): the graph of the set of
     # links, so every reader sees the canonical graph, whichever is called.
     g = Graph(3, edges)
-    assert g == make_graph(3, edges) == make_graph(3, canonical) and g.edges == canonical
+    assert g == make_graph(3, edges) == make_graph(3, canonical) and list(g.edges) == canonical
     for read in READERS:
         # pickled bytes compare arrays, dataclasses and floats exactly
         builds = (g, make_graph(3, edges), make_graph(3, canonical))
@@ -461,7 +467,7 @@ def test_labels_name_every_node_once(n, links, labels):
         with pytest.raises(ValueError) as exc:
             build(n, links, labels)
         assert str(exc.value) == f"labels must have n={n} entries, got {len(labels)}"
-    assert Graph(2, [(0, 1)], [7, 9]).labels == [7, 9]
+    assert Graph(2, [(0, 1)], [7, 9]).labels == (7, 9)
 
 
 def test_ends_are_built_once_and_read_only():
@@ -475,6 +481,19 @@ def test_ends_are_built_once_and_read_only():
     assert Graph(3, links) == g and links.flags.writeable  # the caller's array is copied
 
 
+def test_links_and_labels_cannot_change_in_place():
+    # edges is a tuple and labels the graph's own tuple, so neither a
+    # reader nor the caller's labels list can make a graph drift from ends
+    labels = [5, 6, 7]
+    g = Graph(3, [(0, 1)], labels)
+    labels.append(8)
+    assert g.labels == (5, 6, 7) and g == Graph(3, [(0, 1)], [5, 6, 7])
+    for attr in ("edges", "labels"):
+        with pytest.raises(AttributeError):
+            getattr(g, attr).append((1, 2))
+    assert dump_edge_list(g) == "0 1\n" and g.m == 1
+
+
 def test_a_copied_graph_is_checked_again_and_caches_nothing():
     # pickle (what a spawn or forkserver pool does to its initargs) and
     # deepcopy rebuild a Graph through its constructor from n, its links as
@@ -482,7 +501,7 @@ def test_a_copied_graph_is_checked_again_and_caches_nothing():
     g = load_edge_list("10 20\n20 30\n30 10\n30 40\n")
     assert g.csr and g.edges
     for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
-        assert copied == g and copied.labels == [10, 20, 30, 40]
+        assert copied == g and copied.labels == (10, 20, 30, 40)
         assert not copied.ends.flags.writeable
         assert "csr" not in vars(copied) and "edges" not in vars(copied)
     assert g != Graph(g.n, g.ends.reshape(-1, 2)) and g != (g.n, g.ends, g.labels)
@@ -556,28 +575,32 @@ def echoed(name):
     pytest.param("size_guard", 2, NOT_INTEGERS,
                  lambda v: laplacian(path_graph(2), size_guard=v).tolist(), None,
                  id="laplacian-size_guard"),
-    *[pytest.param(name, good, NOT_INTEGERS, call, lambda g: g.n, id=f"{gen}-{name}")
-      for gen, name, good, call in [
-          ("path_graph", "n", 2, path_graph),
-          ("cycle_graph", "n", 3, cycle_graph),
-          ("complete_graph", "n", 3, complete_graph),
-          ("star_graph", "n", 3, star_graph),
-          ("wheel_graph", "n", 4, wheel_graph),
-          ("grid_graph", "rows", 2, lambda v: grid_graph(v, 2)),
-          ("grid_graph", "cols", 2, lambda v: grid_graph(2, v)),
-          ("erdos_renyi", "n", 4, lambda v: erdos_renyi(v, 0.5)),
-          ("scale_free_ba", "n", 8, lambda v: scale_free_ba(v, 2, 2)),
-          ("scale_free_ba", "seed_nodes", 2, lambda v: scale_free_ba(8, v, 2)),
-          ("scale_free_ba", "links_per_node", 2, lambda v: scale_free_ba(8, 2, v))]],
+    # each generator's sizes, and the values just outside the range it states
+    *[pytest.param(name, good, (*NOT_INTEGERS, *outside), call, lambda g: g.n, id=f"{gen}-{name}")
+      for gen, name, good, outside, call in [
+          ("path_graph", "n", 2, (0,), path_graph),
+          ("cycle_graph", "n", 3, (2,), cycle_graph),
+          ("complete_graph", "n", 3, (0,), complete_graph),
+          ("star_graph", "n", 3, (0,), star_graph),
+          ("wheel_graph", "n", 4, (3,), wheel_graph),
+          ("grid_graph", "rows", 2, (0,), lambda v: grid_graph(v, 3)),
+          ("grid_graph", "cols", 2, (0,), lambda v: grid_graph(3, v)),
+          ("erdos_renyi", "n", 4, (0,), lambda v: erdos_renyi(v, 0.5)),
+          ("scale_free_ba", "n", 8, (0,), lambda v: scale_free_ba(v, 2, 2)),
+          ("scale_free_ba", "seed_nodes", 2, (0, 6), lambda v: scale_free_ba(5, v, 1)),
+          ("scale_free_ba", "links_per_node", 2, (0, 3), lambda v: scale_free_ba(5, 2, v))]],
     pytest.param("max_removal_fraction", 0.5, (True, "0.5", None),
                  lambda v: study(max_removal_fraction=v), echoed("max_removal_fraction"),
                  id="averaged_elasticity-max_removal_fraction"),
+    pytest.param("p", 0.5, (True, "0.5", None, -0.1, 1.5), lambda v: erdos_renyi(6, v), None,
+                 id="erdos_renyi-p"),
 ])
 def test_every_integer_argument_follows_one_rule(name, good, bads, call, echo, spy_pool):
-    # A float, a string, None or True (1's twin) is refused with a
-    # ValueError naming the argument; a numpy scalar acts as the plain
-    # value, and an echoed one comes back as a plain int, so a result
-    # dumps as JSON.  The sweep width follows its own rule, a real in (0, 1].
+    # A float, a string, None, True (1's twin) or a value outside the
+    # argument's range is refused with a ValueError naming the argument; a
+    # numpy scalar acts as the plain value, and an echoed one comes back as
+    # a plain int, so a result dumps as JSON.  The sweep width and
+    # erdos_renyi's p follow their own rule, a real number in a range.
     for bad in bads:
         with pytest.raises(ValueError, match=f"^{name} must "):
             call(bad)

@@ -128,7 +128,7 @@ def with_trees(g, extra, seed, path=False):
     rng = random.Random(seed)
     n = g.n + extra
     tails = [(v, v - 1 if path else rng.randrange(v)) for v in range(g.n, n)]
-    return relabeled(make_graph(n, g.edges + tails), seed)
+    return relabeled(make_graph(n, [*g.edges, *tails]), seed)
 
 
 def bridge_loads(g):

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -103,6 +104,16 @@ def test_single_node_spectrum():
     summary = eigenvalues(laplacian(make_graph(1, [])))
     assert summary.eigenvalues == (0.0,)
     assert summary.lambda2 is None
+
+
+@pytest.mark.parametrize("lap", [np.zeros((0, 0)), np.zeros(3), np.zeros((2, 3)),
+                                 np.zeros((2, 2, 2)), np.float64(1.0)],
+                         ids=["empty", "1-D", "not-square", "3-D", "scalar"])
+def test_eigenvalues_refuses_what_is_not_a_nonempty_square_matrix(lap):
+    shape = re.escape(str(np.shape(lap)))
+    with pytest.raises(ValueError, match=f"^Laplacian must be a non-empty square 2-D array, "
+                                         f"got shape {shape}$"):
+        eigenvalues(lap)
 
 
 def test_size_guard():
