@@ -61,12 +61,19 @@ def eigenvalues(lap: np.ndarray) -> SpectralSummary:
 
     LAPACK's symmetric eigensolver (numpy.linalg.eigvalsh) does the work;
     the size guard sits in laplacian(), before the matrix is built.
-    Anything but a non-empty square 2-D array raises ValueError.
+    Anything but a non-empty square 2-D array of finite numbers, equal to
+    its transpose, raises ValueError: the solver reads only the lower
+    triangle and does not check for NaN, so it would return a wrong
+    spectrum.
     """
-    shape = np.shape(lap)
-    if len(shape) != 2 or not shape[0] == shape[1] > 0:
-        raise ValueError(f"Laplacian must be a non-empty square 2-D array, got shape {shape}")
-    n = shape[0]
+    lap = np.asarray(lap)
+    if lap.ndim != 2 or not lap.shape[0] == lap.shape[1] > 0:
+        raise ValueError(f"Laplacian must be a non-empty square 2-D array, got shape {lap.shape}")
+    if not np.isfinite(lap).all():
+        raise ValueError("Laplacian must hold only finite numbers")
+    if not (lap == lap.T).all():
+        raise ValueError("Laplacian must be symmetric")
+    n = lap.shape[0]
     values = tuple(np.linalg.eigvalsh(lap).tolist())
     return SpectralSummary(
         eigenvalues=values,

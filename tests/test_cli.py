@@ -112,6 +112,19 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, text):
     assert code == 1 and f"error: line {line}: node ids must be nonnegative integers" in err
 
 
+@pytest.mark.parametrize("odd", ["\x0c", "\x85"])
+def test_a_file_line_is_not_split_where_a_str_would_be(tmp_path, capsys, odd):
+    # str.splitlines ends a line at these, a text file does not: the CLI
+    # fails on the line that iterating the file gives
+    path = tmp_path / "odd.txt"
+    path.write_text(f"0 1\n1 2{odd}2 3\n", encoding="utf-8")
+    with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as exc:
+        load_edge_list(fh)
+    assert str(exc.value) == f"line 2: expected two integer tokens, got {f'1 2{odd}2 3'!r}"
+    code, _, err = run(capsys, "metrics", "--input", str(path))
+    assert code == 1 and err == f"error: {exc.value}\n"
+
+
 def test_requires_exactly_one_source(capsys):
     with pytest.raises(SystemExit):
         main(["elasticity", "--generate", "star:5", "--input", "x.txt"])

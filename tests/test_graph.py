@@ -40,6 +40,7 @@ from netelast import (
     throughput,
     wheel_graph,
 )
+from netelast import graph as graph_module
 from netelast.routing import MODES, delivered_flow_count, masked_throughputs
 
 
@@ -148,16 +149,37 @@ _line = st.sampled_from([0] * 12 + [1, 2, 3, 4, 5, 5]).flatmap(lambda k: [
     st.tuples(_pair_line, _odd).map("".join),
     st.tuples(_ids, _odd, _space.filter(bool), _ids).map("".join)][k])
 _line_end = st.sampled_from(["\n"] * 6 + _BREAKS)
+# plain texts, which the loader reads without a vet: ASCII digits, spaces,
+# tabs and "\n" only, around comment lines of any other text
+_blank = st.lists(st.sampled_from(" \t"), max_size=2).map("".join)
+
+
+@st.composite
+def _plain_line(draw):
+    """Two ids, more rarely 0, 1 or 3, between runs of spaces and tabs; or a comment."""
+    k = draw(st.sampled_from([2] * 8 + [0, 1, 3, -1]))
+    if k < 0:
+        return draw(_blank) + "#" + draw(st.text("ab #\t\xe9", max_size=4))
+    line = draw(_blank)
+    for j in range(k):
+        line += draw(_ids) + draw(_blank if j == k - 1 else _blank.filter(bool))
+    return line
+
+
+_plain = st.lists(st.tuples(_plain_line(), st.just("\n")), max_size=12)
 
 
 @settings(max_examples=400, deadline=None)
-@given(pieces=st.lists(st.tuples(_line, _line_end), max_size=12),
+@given(pieces=st.one_of(st.lists(st.tuples(_line, _line_end), max_size=12), _plain),
        as_file=st.booleans())
 @example(pieces=[("# c", "\n"), (" 3 \xa05", "\r\n"), ("5 9", "\x85")], as_file=True)
 @example(pieces=[("0 1", "\n"), ("1_0 2", "\n")], as_file=False)
 @example(pieces=[(str(2**63), "\n"), (f"1 {2**64}", "\n")], as_file=False)
 @example(pieces=[(f"{2**63 - 1} 007", "\n"), ("7 12", "\n")], as_file=False)  # int64 ids
 @example(pieces=[(f"{2**63 - 1} 007", "\n"), (f"7 {2**63}", "\n")], as_file=True)  # past int64
+@example(pieces=[("# c", "\x0c"), ("0 1", "\n")], as_file=False)  # a comment ends at a str's break
+@example(pieces=[("\t0\t00", "\n"), ("", "\n"), (" \t", "\n"), ("# \xe9", "\n"), ("1 2 3", "\n")],
+         as_file=False)
 def test_load_matches_the_per_line_reference(pieces, as_file):
     # the bulk loader gives the per-line parser's graph, or its error line
     # and message, both on a str and on a text file's lines
@@ -167,6 +189,31 @@ def test_load_matches_the_per_line_reference(pieces, as_file):
         return io.StringIO(text, newline=None) if as_file else text
 
     assert load_outcome(load_edge_list, source()) == load_outcome(reference_load, source())
+
+
+class Refused:
+    def search(self, text):
+        raise AssertionError("vetted line by line")
+
+
+SNAP = "# Undirected graph: toy\n# Nodes: 4 Edges: 4\n# FromNodeId\tToNodeId\n0\t1\n0\t2\n1\t2\n2\t3\n"
+
+
+@pytest.mark.parametrize("text, graph", [
+    (SNAP, (4, ((0, 1), (0, 2), (1, 2), (2, 3)), None)),
+    ("  007\t3 \n\n \t\n3 10\n\t#\xe9 x\n", (3, ((0, 1), (1, 2)), (7, 3, 10))),
+    (f"0 {2**63 - 1}\n", (2, ((0, 1),), (0, 2**63 - 1))),
+    ("# only a header\n", (0, (), None))], ids=["snap", "sparse", "int64", "empty"])
+def test_a_plain_text_loads_without_the_vet(text, graph, monkeypatch):
+    # digits, spaces, tabs and "\n" around comment lines go straight to
+    # loadtxt, as a str, a file's lines and the CLI's split read alike
+    monkeypatch.setattr(graph_module, "_BAD_LINE", Refused())
+    for source in (text, io.StringIO(text), text.split("\n")):
+        assert load_outcome(load_edge_list, source) == graph
+    # what is not plain is still vetted
+    for odd in (text.replace("\n", "\r\n", 1), text + "0 1 #\n", text + "1\n"):
+        with pytest.raises(AssertionError, match="vetted line by line"):
+            load_edge_list(odd)
 
 
 @pytest.mark.parametrize("text", ["", "\n", " \t\n\n", "# only\n  # comments", "#\n\n#\n"],
@@ -468,6 +515,23 @@ def test_labels_name_every_node_once(n, links, labels):
             build(n, links, labels)
         assert str(exc.value) == f"labels must have n={n} entries, got {len(labels)}"
     assert Graph(2, [(0, 1)], [7, 9]).labels == (7, 9)
+
+
+@pytest.mark.parametrize("labels, message", [
+    (["a", None], "label 'a' is not a nonnegative integer"),
+    ([True, 1], "label True is not a nonnegative integer"),
+    ([-1, 0], "label -1 is not a nonnegative integer"),
+    ([1.0, 2], "label 1.0 is not a nonnegative integer"),
+    ([3, 3], "label 3 names two nodes"),
+    ([np.int64(3), 3], "label 3 names two nodes")])
+def test_labels_are_distinct_nonnegative_integers(labels, message):
+    # what the loader could have given: a label for each node, in input order
+    for build in (Graph, make_graph):
+        with pytest.raises(ValueError) as exc:
+            build(2, [(0, 1)], labels)
+        assert str(exc.value) == message
+    g = Graph(2, [(0, 1)], [np.int64(2**63 - 1), np.uint8(0)])
+    assert g.labels == (2**63 - 1, 0) and {type(x) for x in g.labels} == {int}
 
 
 def test_ends_are_built_once_and_read_only():

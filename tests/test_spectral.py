@@ -116,6 +116,19 @@ def test_eigenvalues_refuses_what_is_not_a_nonempty_square_matrix(lap):
         eigenvalues(lap)
 
 
+@pytest.mark.parametrize("lap, message", [
+    ([[0.0, 1.0], [0.0, 0.0]], "Laplacian must be symmetric"),
+    ([[1.0, -1.0], [-1.0 + 1e-12, 1.0]], "Laplacian must be symmetric"),
+    ([[np.nan, 0.0], [0.0, 1.0]], "Laplacian must hold only finite numbers"),
+    ([[1.0, -np.inf], [-np.inf, 1.0]], "Laplacian must hold only finite numbers")],
+    ids=["triangular", "off-by-1e-12", "nan", "inf"])
+def test_eigenvalues_refuses_a_matrix_that_is_not_symmetric_or_not_finite(lap, message):
+    # the solver reads one triangle and does not see NaN, so these would
+    # give a spectrum without an error
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        eigenvalues(np.array(lap))
+
+
 def test_size_guard():
     with pytest.raises(SizeGuardError):
         laplacian(path_graph(5), size_guard=4)

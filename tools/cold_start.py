@@ -7,8 +7,10 @@ Every command runs in a fresh interpreter that imports netelast.cli from
 this checkout's src/ and calls its main, as the netelast script does, with
 one BLAS thread (as perfbench runs it), so a single-process command's CPU
 time cannot exceed its wall time by BLAS threads.  The inputs are made by
-the first two rows, `generate` runs writing BA-4096 and grid 16x16 edge
-lists into a temporary directory.  Wall time is taken around the whole
+the first three rows, `generate` runs writing BA-4096, grid 16x16 and
+BA-100000 edge lists into a temporary directory.  BA-100000 (299,994
+links) is at the scale of the paper's measured topologies, where loading
+the file is most of a `metrics` run.  Wall time is taken around the whole
 process, interpreter start included; CPU time adds the process's pool
 workers; max RSS is the child's ru_maxrss, the largest resident set of it
 or of any worker.  This script imports no numpy, so the few MB of its own
@@ -53,7 +55,9 @@ SWEEP = ("--steps", "20", "--curve-out", "curve.csv", "--json-out", "result.json
 COMMANDS = (
     ("generate", "ba:4096:3:3", "-o", "ba-4096.txt"),
     ("generate", "grid:16:16", "-o", "grid-16.txt"),
+    ("generate", "ba:100000:3:3", "-o", "ba-100000.txt"),
     ("metrics", "--input", "ba-4096.txt", "--json-out", "metrics.json"),
+    ("metrics", "--input", "ba-100000.txt", "--json-out", "metrics.json"),
     ("ndd", "--input", "ba-4096.txt", "--csv-out", "ndd.csv"),
     ("spectral", "--input", "grid-16.txt", "--full-spectrum", "--json-out", "spectrum.json"),
     ("elasticity", "--input", "ba-4096.txt", "--mode", "flow-ratio", *SWEEP),
