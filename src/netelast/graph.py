@@ -30,22 +30,16 @@ __all__ = [
 ]
 
 # A text is plain if, once its comment lines are gone, it holds only ASCII
-# digits, spaces, tabs and "\n": a str and a file's lines then part it into
-# the same lines at "\n", and np.loadtxt reads it without a vet.  A plain
-# comment line stops at the first character at which str.splitlines ends a
-# line, so a comment never hides the link line after one: the character is
-# left behind and the text is not plain.  It starts at a literal "\n" (the
-# text gets one in front), which the search finds at memchr speed, where
-# "^" under re.M is tried at every character: 7 ms against 20 ms on 3 MB.
-_PLAIN_TEXT = re.compile(r"[0-9 \t\n]*")
-_PLAIN_COMMENT = re.compile(r"\n[ \t]*#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
-# The vet's text puts a "\n" before every line, the first too, and has no
-# other "\n".  _BAD_LINE matches the "\n" before the first line that is
-# neither blank, a comment, nor two runs of ASCII digits; starting at a
-# literal "\n" lets the search skip from line to line at memchr speed.
-# [^\S\n] is the whitespace that str.split and str.strip see, less "\n".
-_BAD_LINE = re.compile(r"\n(?![^\S\n]*(?:#.*|[0-9]+[^\S\n]+[0-9]+)?$)", re.M)
-_COMMENT_LINE = re.compile(r"^[^\S\n]*#.*", re.M)
+# digits and the 29 characters str.isspace() accepts.  np.loadtxt splits a
+# line at exactly the characters str.split splits at (a "\r" it refuses),
+# and no other character may reach it: numpy 2.4 has crashed on U+F460C.
+# Spelled out, the class costs what [0-9 \t\n] costs; [0-9\s] costs twice
+# that.  A comment line starts at a literal "\n" (the text gets one in
+# front), which the search finds at memchr speed, where "^" under re.M is
+# tried at every character.  [^\S\n] is str.split's whitespace less "\n".
+_PLAIN_TEXT = re.compile("[0-9\t-\r\x1c- \x85\xa0\u1680\u2000-\u200a"
+                         "\u2028\u2029\u202f\u205f\u3000]*")
+_COMMENT = re.compile(r"\n[^\S\n]*#[^\n]*")
 
 
 class EdgeListParseError(ValueError):
@@ -61,14 +55,15 @@ class Graph:
     """Undirected simple graph with node ids exactly 0..n-1.
 
     The constructor is the one place that checks and canonicalizes a graph.
-    n must follow _integer's rule and is stored as an int.  The links are
-    (u, v) pairs, or an integer array of them of shape (k, 2); an integer
-    array of any other shape, or a node id that is not an integer (a bool
-    is not) or lies outside 0..n-1, raises ValueError naming the shape or
-    the first such pair in input order.  Self-loops are dropped, and each
-    link is keyed u*n + v with u < v, so sorting the keys and dropping
-    repeats dedupes the links and lists them canonically: any list of
-    pairs gives the graph of its set of links.  labels, when present, maps
+    n must follow _integer's rule and lie in 0..3037000500, the largest n
+    whose link keys (below) fit an int64; it is stored as an int.  The
+    links are (u, v) pairs, or an integer array of them of shape (k, 2); an
+    integer array of any other shape, or a node id that is not an integer
+    (a bool is not) or lies outside 0..n-1, raises ValueError naming the
+    shape or the first such pair in input order.  Self-loops are dropped,
+    and each link is keyed u*n + v with u < v, so sorting the keys and
+    dropping repeats dedupes the links and lists them canonically: any list
+    of pairs gives the graph of its set of links.  labels, when present, maps
     each dense id back to the external id it was loaded under, so it must
     have n entries, each an integer (not a bool) of at least 0 and no two
     the same, as the loader gives; the graph keeps them as its own tuple of
@@ -86,7 +81,7 @@ class Graph:
     labels: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        n, pairs = _integer("n", self.n), self.ends
+        n, pairs = _integer("n", self.n, high=3_037_000_500), self.ends
         labels = None if self.labels is None else _checked_labels(self.labels, n)
         if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu":
             if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -238,43 +233,47 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
     nonnegative integers written as ASCII digits ``[0-9]+``: no sign,
     underscore or non-ASCII digit); blank lines and lines starting with
     ``#`` are ignored.  A str is split into lines by str.splitlines; any
-    other iterable, such as a text file, yields one line per item.  The
-    first bad line raises EdgeListParseError with its line number.  The
-    Graph is built by make_graph, so self-loops are dropped and duplicates
-    deduplicated (a node mentioned only in a self-loop still counts as
-    present).  External ids that already form a dense 0..n-1 range are
-    kept verbatim, so canonical serializations reload to the identical
-    graph; anything sparser is relabeled to dense ids in first-appearance
-    order, with the original ids retained as labels, whatever their size.
-    Empty input gives the empty graph.
+    other iterable, such as a text file, gives one line per item, and a
+    "\n" inside an item ends a line there.  The first bad line raises
+    EdgeListParseError with its line number.  The Graph is built by
+    make_graph, so self-loops are dropped and duplicates deduplicated (a
+    node mentioned only in a self-loop still counts as present).  External
+    ids that already form a dense 0..n-1 range are kept verbatim, so
+    canonical serializations reload to the identical graph; anything
+    sparser is relabeled to dense ids in first-appearance order, with the
+    original ids retained as labels, whatever their size.  Empty input
+    gives the empty graph.
 
-    The text (a str, or the lines joined by "\n") is tested first: once
-    its comment lines are dropped, a plain text (_PLAIN_TEXT) goes straight
-    to numpy's C tokenizer (np.loadtxt), which reads the ids as int64.
-    Only what that does not read as pairs is vetted line by line: a text
-    that is not plain, has a line without two ids (loadtxt raises or gives
-    another shape), or holds an id of 2**63 or more.  _BAD_LINE alone
-    names a bad line, so a parse error is the same on either path.  The
-    vetted text goes to the same tokenizer, which splits on the same
-    whitespace as str.split once a "\r" inside a line, which it would
-    refuse, reads as a space.  If it still raises, an id is 2**63 or more;
-    the ids are then read as Python ints, which never form a dense range,
-    so they are relabeled.
+    The lines, joined by "\n", are tested first: once the comment lines
+    are dropped, a plain text (_PLAIN_TEXT: ASCII digits and whitespace)
+    goes straight to numpy's C tokenizer (np.loadtxt), which reads the ids
+    as int64.  What that does not read as pairs (a text that is not plain,
+    a line without two ids, an id of 2**63 or more, a "\r" or "\n" inside
+    an item) is read line by line by _line_ids, which alone names a bad
+    line; its ids go back to int64 where they fit, so a dense range there
+    keeps its ids too.
     """
-    lines = None if isinstance(source, str) else list(source)
-    text = source if lines is None else "\n".join(lines)
-    rows = lines  # the caller's lines, read as they are unless comments go
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    # loadtxt reads the lines as they are, which spares a split of the text
+    # (0.4 of 1.3 ms on BA-4096), unless comments go: a "#" inside a row
+    # would make it drop the rest of that row
+    text, rows = "\n".join(lines), lines
     if "#" in text:
-        text, rows = _PLAIN_COMMENT.sub("\n", "\n" + text), None
-    ids = _int64_pairs(text, rows) if _PLAIN_TEXT.fullmatch(text) else None
-    if ids is None:
-        text = _vetted(source.splitlines() if lines is None else lines)
-        ids = _int64_pairs(text)
-    if ids is None:
-        ids = list(map(int, text.split()))
-    elif not len(ids):
+        text = _COMMENT.sub("\n", "\n" + text)
+        rows = text.split("\n")
+    if not text or text.isspace():  # loadtxt would warn "input contained no data"
         return make_graph(0, [])
-    else:
+    ids = None
+    if _PLAIN_TEXT.fullmatch(text):
+        try:
+            ids = np.loadtxt(rows, np.int64, ndmin=2)
+        except ValueError:
+            pass
+    if ids is None or ids.shape[1] != 2:
+        ids = _line_ids(lines)
+        if max(ids) < 2**63:  # never empty: text holds more than comments and blanks
+            ids = np.array(ids, np.int64)
+    if isinstance(ids, np.ndarray):
         ids = ids.ravel()
         top = int(ids.max())
         if top < len(ids) and np.bincount(ids).all():  # dense: ids are 0..top
@@ -287,37 +286,24 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
     return make_graph(n, pairs, labels=labels)
 
 
-def _vetted(lines: Iterable[str]) -> str:
-    """lines joined by "\n" for loadtxt, comment lines dropped and any
-    "\r" read as a space, once the first line that is neither blank, a
-    comment nor two ids has raised EdgeListParseError."""
+def _line_ids(lines: Iterable[str]) -> list[int]:
+    """The ids of lines as ints, read one line at a time by the format's
+    rule; the first line that is neither blank, a comment nor two ids
+    raises EdgeListParseError."""
     # Outer whitespace never counts, so stripping each line's tail drops
     # its line end, and "\n" is the only line end left.
-    text = "\n".join(chain([""], map(str.rstrip, lines)))
-    bad = _BAD_LINE.search(text)
-    if bad:
-        line = text[bad.end():].split("\n", 1)[0].strip()
-        problem = ("node ids must be nonnegative integers" if len(line.split()) == 2
-                   else "expected two integer tokens")
-        raise EdgeListParseError(text.count("\n", 0, bad.end()), f"{problem}, got {line!r}")
-    if "#" in text:
-        text = _COMMENT_LINE.sub("", text)
-    return text.replace("\r", " ")
-
-
-def _int64_pairs(text: str, rows: list[str] | None = None) -> np.ndarray | None:
-    """The ids of a text of ids and blank lines as an int64 array of shape
-    (k, 2), or None where loadtxt refuses a line or reads rows that are not
-    pairs.  rows, the lines that were joined by "\n" into text, spare
-    loadtxt a second split: 0.4 of 1.3 ms and 0.8 MB on BA-4096.  A "\n"
-    inside a row, short of its end, makes loadtxt raise."""
-    if not text or text.isspace():  # loadtxt would warn "input contained no data"
-        return np.empty((0, 2), np.int64)
-    try:
-        ids = np.loadtxt(text.split("\n") if rows is None else rows, np.int64, ndmin=2)
-    except ValueError:
-        return None
-    return ids if ids.shape[1] == 2 else None
+    ids = []
+    for line_no, line in enumerate("\n".join(map(str.rstrip, lines)).split("\n"), 1):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        digits = "".join(tokens)
+        if len(tokens) != 2 or not (digits.isascii() and digits.isdigit()):
+            problem = ("node ids must be nonnegative integers" if len(tokens) == 2
+                       else "expected two integer tokens")
+            raise EdgeListParseError(line_no, f"{problem}, got {line.strip()!r}")
+        ids += map(int, tokens)
+    return ids
 
 
 def dump_edge_list(g: Graph) -> str:

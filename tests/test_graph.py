@@ -69,7 +69,8 @@ def test_load_parse_error_reports_line():
     with pytest.raises(EdgeListParseError):
         load_edge_list("0 -1")
     # int() would read these as 10, 3 and 3; ids are ASCII digits only
-    for bad in ("1_0 2", "+3 4", "\u0663 1"):
+    # nor may U+F460C reach loadtxt, which numpy 2.4 has misread or crashed on
+    for bad in ("1_0 2", "+3 4", "\u0663 1", "0\U000f460c1"):
         with pytest.raises(EdgeListParseError) as exc:
             load_edge_list(f"0 1\n{bad}\n")
         assert exc.value.line_no == 2
@@ -149,8 +150,8 @@ _line = st.sampled_from([0] * 12 + [1, 2, 3, 4, 5, 5]).flatmap(lambda k: [
     st.tuples(_pair_line, _odd).map("".join),
     st.tuples(_ids, _odd, _space.filter(bool), _ids).map("".join)][k])
 _line_end = st.sampled_from(["\n"] * 6 + _BREAKS)
-# plain texts, which the loader reads without a vet: ASCII digits, spaces,
-# tabs and "\n" only, around comment lines of any other text
+# plain texts, which loadtxt alone reads: ASCII digits, spaces, tabs and
+# "\n" only, around comment lines of any other text
 _blank = st.lists(st.sampled_from(" \t"), max_size=2).map("".join)
 
 
@@ -191,11 +192,6 @@ def test_load_matches_the_per_line_reference(pieces, as_file):
     assert load_outcome(load_edge_list, source()) == load_outcome(reference_load, source())
 
 
-class Refused:
-    def search(self, text):
-        raise AssertionError("vetted line by line")
-
-
 SNAP = "# Undirected graph: toy\n# Nodes: 4 Edges: 4\n# FromNodeId\tToNodeId\n0\t1\n0\t2\n1\t2\n2\t3\n"
 
 
@@ -205,14 +201,19 @@ SNAP = "# Undirected graph: toy\n# Nodes: 4 Edges: 4\n# FromNodeId\tToNodeId\n0\
     (f"0 {2**63 - 1}\n", (2, ((0, 1),), (0, 2**63 - 1))),
     ("# only a header\n", (0, (), None))], ids=["snap", "sparse", "int64", "empty"])
 def test_a_plain_text_loads_without_the_vet(text, graph, monkeypatch):
-    # digits, spaces, tabs and "\n" around comment lines go straight to
-    # loadtxt, as a str, a file's lines and the CLI's split read alike
-    monkeypatch.setattr(graph_module, "_BAD_LINE", Refused())
-    for source in (text, io.StringIO(text), text.split("\n")):
+    # ASCII digits and whitespace around comment lines go straight to
+    # loadtxt, as a str, a file's lines and the CLI's split read alike, and
+    # so do a CRLF str and ids parted by any other whitespace
+    def refused(lines):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(graph_module, "_line_ids", refused)
+    wide = text.replace(" ", "\xa0").replace("\t", "\u3000")
+    for source in (text, io.StringIO(text), text.split("\n"), text.replace("\n", "\r\n"), wide):
         assert load_outcome(load_edge_list, source) == graph
-    # what is not plain is still vetted
-    for odd in (text.replace("\n", "\r\n", 1), text + "0 1 #\n", text + "1\n"):
-        with pytest.raises(AssertionError, match="vetted line by line"):
+    # what is not plain is still read line by line
+    for odd in (text + "0 1 #\n", text + "1\n", text + "0\U000f460c1\n"):
+        with pytest.raises(AssertionError, match="read line by line"):
             load_edge_list(odd)
 
 
@@ -228,11 +229,48 @@ def test_text_without_a_link_line_loads_the_empty_graph_without_a_warning(text, 
 
 def test_a_carriage_return_inside_a_line_loads_as_whitespace():
     # numpy's tokenizer refuses a "\r" inside a line, which a list of lines
-    # or a file read with newline="\n" can hold, so the loader hands it a
-    # space there; a dense graph still keeps its ids
+    # or a file read with newline="\n" can hold, so such a text is read line
+    # by line, where str.split parts ids at it; a dense graph keeps its ids
     for lines, graph in [(["0\r1", "1 2"], (3, ((0, 1), (1, 2)), None)),
                          (["5\r9", "9 5"], (2, ((0, 1),), (5, 9)))]:
         assert load_outcome(load_edge_list, lines) == load_outcome(reference_load, lines) == graph
+
+
+def test_a_newline_inside_an_item_ends_a_line():
+    # as in the str the items join to; loadtxt, handed such an item, would
+    # take all of it for a comment where it starts with "#"
+    for lines in (["# c\n0 1", "2 3"], ["0 1\n2 3", "# c"], ["0 1\n2", "3 4"]):
+        assert load_outcome(load_edge_list, lines) == load_outcome(load_edge_list, "\n".join(lines))
+    assert load_outcome(load_edge_list, ["# c\n0 1", "2 3"]) == (4, ((0, 1), (2, 3)), None)
+
+
+_WHITESPACE = [c for c in map(chr, range(0x110000)) if c.isspace()]
+
+
+def test_the_plain_class_is_ascii_digits_and_whitespace():
+    # loadtxt parts ids at exactly the characters str.split parts them at,
+    # and no other character may reach it
+    assert len(_WHITESPACE) == 29
+    plain = {c for c in map(chr, range(0x110000)) if graph_module._PLAIN_TEXT.fullmatch(c)}
+    assert plain == {*"0123456789", *_WHITESPACE}
+
+
+def test_ids_parted_by_any_whitespace_load_as_the_reference_does(monkeypatch):
+    # A str ends its lines at some of these characters and a file at fewer,
+    # but either way the loader gives the reference's graph or error, and
+    # loadtxt alone reads each graph unless a "\r" it refuses is left inside
+    # a line.
+    line_ids, calls = graph_module._line_ids, []
+    monkeypatch.setattr(graph_module, "_line_ids", lambda lines: calls.append(1) or line_ids(lines))
+    for c in _WHITESPACE:
+        text = f"0{c}1\n1{c}2\n"
+        for source in (lambda: text, lambda: io.StringIO(text, newline=None),
+                       lambda: text.split("\n")):
+            calls.clear()
+            outcome = load_outcome(load_edge_list, source())
+            assert outcome == load_outcome(reference_load, source()), repr(c)
+            if len(outcome) == 3 and c != "\r":
+                assert not calls, repr(c)
 
 
 def test_load_huge_sparse_ids_keep_their_labels():
@@ -314,6 +352,19 @@ def test_make_graph_canonicalizes_like_a_set(n, pairs):
         assert all(type(x) is int for e in g.edges for x in e)
     g = Graph(n, pairs)  # the constructor itself, not through make_graph
     assert (g.n, g.edges) == (n, expected)
+
+
+def test_n_is_at_most_the_largest_whose_link_keys_fit_an_int64():
+    # the key u*n + v of the last pair, n*n - n - 1, fits an int64, and for
+    # one node more it would wrap and a link would be lost.  The constructor
+    # builds only m-sized arrays; csr and degrees would be n-sized, so
+    # neither is read here.
+    n = 3_037_000_500
+    assert n * n - n - 1 <= 2**63 - 1 < (n + 1) * n - 1
+    g = Graph(n, [(n - 2, n - 1), (0, 1)])
+    assert (g.n, g.edges) == (n, ((0, 1), (n - 2, n - 1)))
+    with pytest.raises(ValueError, match=r"^n must lie in 0\.\.3037000500$"):
+        Graph(n + 1, [(n - 1, n), (0, 1)])
 
 
 def test_components():
@@ -620,8 +671,8 @@ def echoed(name):
                  id="scale_free_ba-seed"),
     pytest.param("n", 2, NOT_INTEGERS, lambda v: make_graph(v, [(0, 1)]), lambda g: g.n,
                  id="make_graph-n"),
-    pytest.param("n", 3, (*NOT_INTEGERS, -1), lambda v: Graph(v, [(0, 1)]), lambda g: g.n,
-                 id="Graph-n"),
+    pytest.param("n", 3, (*NOT_INTEGERS, -1, 3_037_000_501), lambda v: Graph(v, [(0, 1)]),
+                 lambda g: g.n, id="Graph-n"),
     pytest.param("trials", 2, NOT_INTEGERS, lambda v: study(trials=v), echoed("trials"),
                  id="averaged_elasticity-trials"),
     pytest.param("steps", 2, NOT_INTEGERS, lambda v: study(steps=v), echoed("steps"),
