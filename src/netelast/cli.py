@@ -54,12 +54,10 @@ def _curve_csv(curve) -> str:
 
 def _load_graph(path: str | None, spec: str | None, seed: int) -> tuple[Graph, str]:
     """Load an edge-list file or, when no path is given, generate spec.
-    A byte-order mark at the start of the file is dropped.  The file is read
-    in one call; under universal newlines, splitting it at "\n" gives the
-    lines that iterating the file would, less their line ends."""
+    A byte-order mark at the start of the file is dropped."""
     if path:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            return load_edge_list(fh.read().split("\n")), Path(path).stem
+            return load_edge_list(fh), Path(path).stem
     kind, params = parse_generator_spec(spec)
     return generate(kind, params, seed=seed), spec.replace(":", "-")
 

@@ -28,7 +28,9 @@ items and runs them, in a process pool of at most the usable CPUs when
 asked.  A work item is a flow-ratio trial, a bottleneck sample, or a root
 share of a sample too large for one worker; every bottleneck item sends
 back its route, and the parent alone turns a sample's loads into its
-throughput.
+throughput.  The pool's workers fork, named as the start method wherever
+the platform has fork, so neither the platform's default start method nor
+multiprocessing.set_start_method chooses how they start.
 """
 
 from __future__ import annotations
@@ -421,9 +423,14 @@ def masked_throughputs(
     Above 1, a bottleneck sample too large for one worker is cut into root
     shares, whose exact loads the parent sums as they arrive.  Items run
     largest first in min(jobs, items) processes; a pool's workers get g and
-    the ranks once, and fork after scipy is imported.  jobs never changes
-    the values; an unknown mode, a rank array not of shape (g.m,) or with a
-    negative rank is refused before any pool starts.
+    the ranks once, and fork after scipy is imported.  fork is named
+    wherever it exists, whatever the default start method or a caller's
+    set_start_method, so a script needs no __main__ guard; only Windows,
+    which has no fork, keeps its default, spawn, which no test runner
+    runs.  On CPython 3.12 and later, forking a parent that holds BLAS
+    threads warns (DeprecationWarning).  jobs never changes the values; an
+    unknown mode, a rank array not of shape (g.m,) or with a negative rank
+    is refused before any pool starts.
     """
     if mode not in MODES:
         raise ValueError(f"unknown throughput mode {mode!r}")
@@ -457,11 +464,14 @@ def masked_throughputs(
         measured = _fold(items, (_measure(it, study) for it in items))
     else:
         # multiprocessing is imported only where a pool starts
+        import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
         if mode == "bottleneck":  # the workers share this import
             import scipy.sparse.csgraph  # noqa: F401
-        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=study) as pool:
+        # fork by name wherever it exists (all but Windows, which keeps its default)
+        fork = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
+        with ProcessPoolExecutor(workers, fork, initializer=_init_worker, initargs=study) as pool:
             measured = _fold(items, pool.map(_measure, items))
     return [[v for group in groups for v in measured[item(k, group)]] for k in range(len(ranks))]
 

@@ -7,14 +7,16 @@ from netelast import routing
 
 class SpyPool:
     """A ProcessPoolExecutor stand-in that starts no process: it records each
-    pool's max_workers and mapped items, then runs the initializer and the
-    map in this process, so a study's plan is seen at any jobs."""
+    pool's max_workers, mp_context and mapped items, then runs the
+    initializer and the map in this process, so a study's plan is seen at
+    any jobs."""
 
     def __init__(self):
-        self.workers, self.mapped = [], []
+        self.workers, self.contexts, self.mapped = [], [], []
 
-    def __call__(self, max_workers, initializer, initargs):
+    def __call__(self, max_workers, mp_context, initializer, initargs):
         self.workers.append(max_workers)
+        self.contexts.append(mp_context)
         initializer(*initargs)
         return self
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netelast import load_edge_list
+from netelast import EdgeListParseError, load_edge_list
 from netelast.cli import build_parser, main
 
 
@@ -121,6 +121,20 @@ def test_a_file_line_is_not_split_where_a_str_would_be(tmp_path, capsys, odd):
     with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as exc:
         load_edge_list(fh)
     assert str(exc.value) == f"line 2: expected two integer tokens, got {f'1 2{odd}2 3'!r}"
+    code, _, err = run(capsys, "metrics", "--input", str(path))
+    assert code == 1 and err == f"error: {exc.value}\n"
+
+
+def test_an_id_too_long_for_int_is_a_parse_error_naming_its_line(tmp_path, capsys):
+    # int() refuses an id of more than 4,300 digits, Python's default
+    # sys.get_int_max_str_digits(); the loader names its line, and the CLI,
+    # which loads the same text from a file, exits 1 with that error
+    text = "0 1\n" + "1" * 5000 + " 1\n"
+    with pytest.raises(EdgeListParseError) as exc:
+        load_edge_list(text)
+    assert exc.value.line_no == 2 and "(4300 digits)" in str(exc.value)
+    path = tmp_path / "long.txt"
+    path.write_text(text, encoding="utf-8")
     code, _, err = run(capsys, "metrics", "--input", str(path))
     assert code == 1 and err == f"error: {exc.value}\n"
 

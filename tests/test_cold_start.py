@@ -1,18 +1,22 @@
 import importlib.util
 import json
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cold_start.py"
 
 
 def fresh(code: str, cwd: Path) -> dict:
-    """Run code in a fresh interpreter that imports from src/; its last
-    stdout line, read as JSON."""
-    done = subprocess.run([sys.executable, "-c", f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}"],
-                          cwd=cwd, capture_output=True, text=True, check=True)
+    """Run code as a script, fresh.py in cwd, in a fresh interpreter that
+    imports from src/; its last stdout line, read as JSON."""
+    (cwd / "fresh.py").write_text(f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}")
+    done = subprocess.run([sys.executable, "fresh.py"], cwd=cwd, capture_output=True, text=True,
+                          check=True, timeout=120)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -68,6 +72,36 @@ averaged_elasticity(g, "degree", steps=4, jobs=2)
 print(json.dumps(pools))
 """, tmp_path)
     assert seen == [False, True]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the platform has no fork")
+def test_a_pool_forks_whatever_start_method_is_set(tmp_path):
+    # a script that runs studies at top level, with no __main__ guard, gets
+    # jobs=1's values at jobs=2 after set_start_method forces forkserver,
+    # then spawn: the pool names fork, so no worker runs the script again
+    # (under either method, one that did broke the pool).  Each pool is
+    # planned on 2 usable CPUs, whatever the runner has.
+    seen = fresh("""
+import json
+import multiprocessing
+from netelast import averaged_elasticity, grid_graph, routing, scale_free_ba
+
+routing._usable_cpus = lambda: 2
+studies = [(grid_graph(6, 6), "degree", "bottleneck"),
+           (scale_free_ba(64, 2, 2, seed=1), "random-node", "flow-ratio")]
+same = {}
+for method in ("forkserver", "spawn"):
+    multiprocessing.set_start_method(method, force=True)
+    for g, strategy, mode in studies:
+        serial, parallel = (averaged_elasticity(g, strategy, trials=3, mode=mode, jobs=jobs)
+                            for jobs in (1, 2))
+        same[f"{method} {mode}"] = (parallel.result == serial.result
+                                    and parallel.trial_curves == serial.trial_curves)
+print(json.dumps(same))
+""", tmp_path)
+    assert seen == {f"{method} {mode}": True for method in ("forkserver", "spawn")
+                    for mode in ("bottleneck", "flow-ratio")}
 
 
 def load_tool():

@@ -309,7 +309,10 @@ def test_a_dominant_sample_is_routed_in_root_shares(spy_pool, monkeypatch):
     # smaller sample runs whole; the values stay those of jobs=1, and the
     # second sample's is not 0, so it reads the intact throughput.  The
     # plans are pinned on 8 usable CPUs, whatever the runner has, and
-    # mapped in this process.
+    # mapped in this process.  Every pool names fork as its start method
+    # wherever fork is offered.
+    import multiprocessing
+
     import netelast.routing as routing
 
     monkeypatch.setattr(routing, "_usable_cpus", lambda: 8)
@@ -349,6 +352,9 @@ def test_a_dominant_sample_is_routed_in_root_shares(spy_pool, monkeypatch):
     assert [it for it in mapped if it[:2] == (0, (0,))] == [(0, (0,), p, 4) for p in range(4)]
     assert max(parts for _, _, _, parts in mapped) == 4
     assert parallel.trial_curves == averaged_elasticity(g, "degree").trial_curves
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    assert [c.get_start_method() for c in spy_pool.contexts] == [
+        "fork" if fork else multiprocessing.get_start_method()] * 4
 
 
 def test_a_study_plans_at_most_the_usable_cpus(spy_pool):

@@ -244,6 +244,19 @@ def test_a_newline_inside_an_item_ends_a_line():
     assert load_outcome(load_edge_list, ["# c\n0 1", "2 3"]) == (4, ((0, 1), (2, 3)), None)
 
 
+@pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
+def test_a_file_ends_its_lines_as_universal_newlines_do(tmp_path, newline):
+    # whatever newline mode it was opened in, a file, read in one call,
+    # ends its lines at "\r\n", "\r" and "\n", as the str of its text
+    # does: a comment ended by a lone "\r" swallows no link, and a bad line
+    # keeps its number
+    path = tmp_path / "ends.txt"
+    for text in ("# c\r0 1\r\n1 2\n5 9\r", "0 1\r\r\n2 3\rx y\n"):
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            assert load_outcome(load_edge_list, fh) == load_outcome(load_edge_list, text)
+
+
 _WHITESPACE = [c for c in map(chr, range(0x110000)) if c.isspace()]
 
 
