@@ -29,10 +29,11 @@ __all__ = [
     "remove_nodes",
 ]
 
-# A text is plain if, once its comment lines are gone, it holds only ASCII
-# digits and the 29 characters str.isspace() accepts.  np.loadtxt splits a
-# line at exactly the characters str.split splits at (a "\r" it refuses),
-# and no other character may reach it: numpy 2.4 has crashed on U+F460C.
+# A text is plain if, once its comment lines are blanked, it holds only
+# ASCII digits and the 29 characters str.isspace() accepts.  np.loadtxt
+# splits a line at exactly the characters str.split splits at (a "\r" it
+# refuses, but the loader has made every "\r" a "\n" by then), and no other
+# character may reach it: numpy 2.4 has crashed on U+F460C.
 # Spelled out, the class costs what [0-9 \t\n] costs; [0-9\s] costs twice
 # that.  A comment line starts at a literal "\n" (the text gets one in
 # front), which the search finds at memchr speed, where "^" under re.M is
@@ -232,53 +233,46 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
     Format: one link per line as ``<u> <v>`` (whitespace separated,
     nonnegative integers written as ASCII digits ``[0-9]+``: no sign,
     underscore or non-ASCII digit); blank lines and lines starting with
-    ``#`` are ignored.  A str is split into lines by str.splitlines.  A
-    source with a read method, such as a text file, is read in one call and
-    its lines end at "\r\n", "\r" and "\n", as universal newlines (open's
-    default) end them, whatever newline mode the source was opened in.  Any
-    other iterable gives one line per item, and a "\n" inside an item ends
-    a line there.  The first bad line raises EdgeListParseError with its
-    line number.  The Graph is built by make_graph, so self-loops are
-    dropped and duplicates deduplicated (a node mentioned only in a
-    self-loop still counts as present).  External ids that already form a
-    dense 0..n-1 range are kept verbatim, so canonical serializations
-    reload to the identical graph; anything sparser is relabeled to dense
-    ids in first-appearance order, with the original ids retained as
-    labels, of any size up to the digits int() accepts
-    (sys.get_int_max_str_digits(), 4300 by default); a longer id is a bad
-    line.  Empty input gives the empty graph.
+    ``#`` are ignored.  Every source becomes one text, whose lines end at
+    "\r\n", "\r" and "\n", as universal newlines (open's default) end them:
+    a source with a read method, such as a text file opened in any newline
+    mode, is read in one call; a str is that text; any other iterable gives
+    one line per item, less its trailing whitespace, so a line end inside an
+    item ends a line there too.  Every other whitespace character parts ids.
+    The first bad line raises EdgeListParseError with its line number.  The
+    Graph is built by make_graph, so self-loops are dropped and duplicates
+    deduplicated (a node mentioned only in a self-loop still counts as
+    present).  External ids that already form a dense 0..n-1 range are kept
+    verbatim, so canonical serializations reload to the identical graph;
+    anything sparser is relabeled to dense ids in first-appearance order,
+    with the original ids retained as labels, of any size up to the digits
+    int() accepts (sys.get_int_max_str_digits(), 4300 by default); a longer
+    id is a bad line.  Empty input gives the empty graph.
 
-    The lines, joined by "\n", are tested first: once the comment lines
-    are dropped, a plain text (_PLAIN_TEXT: ASCII digits and whitespace)
+    Comment lines are blanked, so every line keeps its number, and the text
+    is split once.  A plain text (_PLAIN_TEXT: ASCII digits and whitespace)
     goes straight to numpy's C tokenizer (np.loadtxt), which reads the ids
     as int64.  What that does not read as pairs (a text that is not plain,
-    a line without two ids, an id of 2**63 or more, a "\r" or "\n" inside
-    an item) is read line by line by _line_ids, which alone names a bad
-    line; its ids go back to int64 where they fit, so a dense range there
-    keeps its ids too.
+    a line without two ids, an id of 2**63 or more) is read line by line by
+    _line_ids, which alone names a bad line; its ids go back to int64 where
+    they fit, so a dense range there keeps its ids too.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-        # only a newline mode other than open's default keeps a "\r", and
-        # a search for "\r\n" alone costs 4 ms on a 3 MB text
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        lines = text.split("\n")
-    else:
-        lines = source.splitlines() if isinstance(source, str) else list(source)
-    # loadtxt reads the lines as they are, which spares a split of the text
-    # (0.4 of 1.3 ms on BA-4096), unless comments go: a "#" inside a row
-    # would make it drop the rest of that row
-    text, rows = "\n".join(lines), lines
+    text = source.read() if hasattr(source, "read") else source
+    if not isinstance(text, str):  # lines, whose trailing whitespace and ends never count
+        text = "\n".join(map(str.rstrip, text))
+    # only a CRLF str or a newline mode other than open's default keeps a
+    # "\r", and a search for "\r\n" alone costs 4 ms on a 3 MB text
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if "#" in text:
-        text = _COMMENT.sub("\n", "\n" + text)
-        rows = text.split("\n")
+        text = _COMMENT.sub("\n", "\n" + text)[1:]
     if not text or text.isspace():  # loadtxt would warn "input contained no data"
         return make_graph(0, [])
+    lines = text.split("\n")
     ids = None
     if _PLAIN_TEXT.fullmatch(text):
         try:
-            ids = np.loadtxt(rows, np.int64, ndmin=2)
+            ids = np.loadtxt(lines, np.int64, ndmin=2)
         except ValueError:
             pass
     if ids is None or ids.shape[1] != 2:
@@ -298,16 +292,14 @@ def load_edge_list(source: str | Iterable[str]) -> Graph:
     return make_graph(n, pairs, labels=labels)
 
 
-def _line_ids(lines: Iterable[str]) -> list[int]:
+def _line_ids(lines: list[str]) -> list[int]:
     """The ids of lines as ints, read one line at a time by the format's
-    rule; the first line that is neither blank, a comment nor two ids
-    raises EdgeListParseError."""
-    # Outer whitespace never counts, so stripping each line's tail drops
-    # its line end, and "\n" is the only line end left.
+    rule; the first line that is neither blank nor two ids raises
+    EdgeListParseError.  The loader has blanked comment lines by then."""
     ids = []
-    for line_no, line in enumerate("\n".join(map(str.rstrip, lines)).split("\n"), 1):
+    for line_no, line in enumerate(lines, 1):
         tokens = line.split()
-        if not tokens or tokens[0][0] == "#":
+        if not tokens:
             continue
         digits = "".join(tokens)
         if len(tokens) != 2 or not (digits.isascii() and digits.isdigit()):

@@ -114,13 +114,17 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("odd", ["\x0c", "\x85"])
 def test_a_file_line_is_not_split_where_a_str_would_be(tmp_path, capsys, odd):
-    # str.splitlines ends a line at these, a text file does not: the CLI
-    # fails on the line that iterating the file gives
+    # str.splitlines ends a line at these, a text file does not, and nor
+    # does the loader, given the file or its text: the CLI fails on the
+    # line that iterating the file gives
     path = tmp_path / "odd.txt"
     path.write_text(f"0 1\n1 2{odd}2 3\n", encoding="utf-8")
     with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as exc:
         load_edge_list(fh)
     assert str(exc.value) == f"line 2: expected two integer tokens, got {f'1 2{odd}2 3'!r}"
+    with pytest.raises(ValueError) as from_text:
+        load_edge_list(path.read_text(encoding="utf-8"))
+    assert str(from_text.value) == str(exc.value)
     code, _, err = run(capsys, "metrics", "--input", str(path))
     assert code == 1 and err == f"error: {exc.value}\n"
 
@@ -334,6 +338,27 @@ def test_jobs_never_change_output_bytes(attack, mode, pairs, seed):
         assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
-def test_jobs_default_to_the_usable_cpus():
+def test_jobs_default_to_the_usable_cpus(monkeypatch):
     args = build_parser().parse_args(["elasticity", "--generate", "grid:3:3"])
     assert args.jobs == len(os.sched_getaffinity(0))
+    # without an affinity set, as on macOS and Windows, the machine's
+    # count, and one CPU where that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, jobs in ((6, 6), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert build_parser().parse_args(["elasticity", "--generate", "grid:3:3"]).jobs == jobs
+
+
+def test_jobs_never_change_a_scatter_csv(tmp_path):
+    # two tiny graphs, one from a file; the last run passes no --jobs, so
+    # it takes the default
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n2 0\n2 3\n3 4\n")
+    outputs = []
+    for jobs in (["--jobs", "1"], ["--jobs", "2"], []):
+        out = tmp_path / f"scatter{len(outputs)}.csv"
+        assert main(["scatter", "--input", str(path), "--generate", "wheel:6",
+                     "--attack", "random-node", "--trials", "3", "--steps", "2",
+                     *jobs, "--csv-out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -106,6 +106,8 @@ def test_sweep_parameter_validation():
         sweep(s5, plan, 0.8, 4, "fastest")
     with pytest.raises(ValueError, match="unknown throughput mode 'bogus'"):
         sweep(s5, plan, 0.8, 4, "bogus", throughputs=[8, 6, 4, 2, 0])
+    with pytest.raises(ValueError, match="^unknown plan kind 'edge'$"):
+        sweep(s5, replace(plan, kind="edge"), 0.8, 4)
     # bad entries inside the removed prefix fail like remove_nodes/remove_links
     for bad in (-1, 5, 1.5, True):
         with pytest.raises(ValueError, match=f"victim id {bad}"):
@@ -168,6 +170,8 @@ def test_area_constant_one_dyadic_grid():
 def test_area_single_sample_zero():
     curve = make_curve([(1.0, 1.0)])
     assert area_under_curve(curve) == 0.0
+    with pytest.raises(ValueError, match="^curve has no samples$"):
+        area_under_curve(make_curve([]))
 
 
 def test_elasticity_zero_width_rejected():

@@ -70,10 +70,13 @@ def test_load_parse_error_reports_line():
         load_edge_list("0 -1")
     # int() would read these as 10, 3 and 3; ids are ASCII digits only
     # nor may U+F460C reach loadtxt, which numpy 2.4 has misread or crashed on
+    # a file's readlines() list names the line its text does
     for bad in ("1_0 2", "+3 4", "\u0663 1", "0\U000f460c1"):
-        with pytest.raises(EdgeListParseError) as exc:
-            load_edge_list(f"0 1\n{bad}\n")
-        assert exc.value.line_no == 2
+        text = f"0 1\n{bad}\n"
+        for source in (text, io.StringIO(text).readlines()):
+            with pytest.raises(EdgeListParseError) as exc:
+                load_edge_list(source)
+            assert exc.value.line_no == 2
 
 
 def test_load_empty_and_comments():
@@ -90,8 +93,12 @@ def test_load_first_appearance_relabeling():
 
 def reference_load(source):
     """The per-line parser load_edge_list replaced, canonicalizing with a
-    set: (n, edges, labels), or EdgeListParseError."""
-    lines = source.splitlines() if isinstance(source, str) else source
+    set: (n, edges, labels), or EdgeListParseError.  The loader's one line
+    rule, spelled another way: a list's items, less trailing whitespace,
+    join into a text; a str or a file's text is read by universal newlines."""
+    if isinstance(source, list):
+        source = "\n".join(item.rstrip() for item in source)
+    lines = io.StringIO(source if isinstance(source, str) else source.read(), newline=None)
     appearance, seen, raw_pairs = [], set(), []
     for line_no, raw in enumerate(lines, 1):
         text = raw.strip()
@@ -127,12 +134,11 @@ def load_outcome(load, source):
     return g if isinstance(g, tuple) else (g.n, g.edges, g.labels)
 
 
-# The characters where a str and a text file's lines part ways.
-# str.splitlines ends a line at "\r\n", "\r", "\n" and the first four of
-# _SPACES; a text file (universal newlines) only at the first three, and
-# reads all of _SPACES as whitespace.  "+", "-", "_" and the Arabic-Indic
-# three are what int() would accept in an id, and ids from 2**63 up do not
-# fit an int64.
+# Line ends and near misses.  _BREAKS are where str.splitlines ends a
+# line; the loader, as universal newlines do, ends one only at the first
+# three, and reads the rest, like all of _SPACES, as whitespace.  "+", "-",
+# "_" and the Arabic-Indic three are what int() would accept in an id, and
+# ids from 2**63 up do not fit an int64.
 _SPACES = ["\x0b", "\x0c", "\x1c", "\x85", "\x1f", "\xa0"]
 _BREAKS = ["\r\n", "\r", "\n"] + _SPACES[:4]
 _ODD = _BREAKS + _SPACES[4:] + [" ", "#", "+", "-", "_", "\u0663"]
@@ -178,18 +184,21 @@ _plain = st.lists(st.tuples(_plain_line(), st.just("\n")), max_size=12)
 @example(pieces=[(str(2**63), "\n"), (f"1 {2**64}", "\n")], as_file=False)
 @example(pieces=[(f"{2**63 - 1} 007", "\n"), ("7 12", "\n")], as_file=False)  # int64 ids
 @example(pieces=[(f"{2**63 - 1} 007", "\n"), (f"7 {2**63}", "\n")], as_file=True)  # past int64
-@example(pieces=[("# c", "\x0c"), ("0 1", "\n")], as_file=False)  # a comment ends at a str's break
+@example(pieces=[("# c", "\x0c"), ("0 1", "\n")], as_file=False)  # a comment runs past a "\x0c"
 @example(pieces=[("\t0\t00", "\n"), ("", "\n"), (" \t", "\n"), ("# \xe9", "\n"), ("1 2 3", "\n")],
          as_file=False)
 def test_load_matches_the_per_line_reference(pieces, as_file):
     # the bulk loader gives the per-line parser's graph, or its error line
-    # and message, both on a str and on a text file's lines
+    # and message, both on a str and on a text file's lines, and so does
+    # the list that reading the file's lines with their ends gives
     text = "".join(line + end for line, end in pieces)
 
     def source():
         return io.StringIO(text, newline=None) if as_file else text
 
-    assert load_outcome(load_edge_list, source()) == load_outcome(reference_load, source())
+    outcome = load_outcome(load_edge_list, source())
+    assert outcome == load_outcome(reference_load, source())
+    assert load_outcome(load_edge_list, io.StringIO(text, newline="").readlines()) == outcome
 
 
 SNAP = "# Undirected graph: toy\n# Nodes: 4 Edges: 4\n# FromNodeId\tToNodeId\n0\t1\n0\t2\n1\t2\n2\t3\n"
@@ -227,13 +236,15 @@ def test_text_without_a_link_line_loads_the_empty_graph_without_a_warning(text, 
     assert (g.n, g.edges, g.labels, g.ends.tolist()) == (0, (), None, [])
 
 
-def test_a_carriage_return_inside_a_line_loads_as_whitespace():
-    # numpy's tokenizer refuses a "\r" inside a line, which a list of lines
-    # or a file read with newline="\n" can hold, so such a text is read line
-    # by line, where str.split parts ids at it; a dense graph keeps its ids
-    for lines, graph in [(["0\r1", "1 2"], (3, ((0, 1), (1, 2)), None)),
-                         (["5\r9", "9 5"], (2, ((0, 1),), (5, 9)))]:
-        assert load_outcome(load_edge_list, lines) == load_outcome(reference_load, lines) == graph
+def test_a_carriage_return_inside_an_item_ends_a_line():
+    # as it does in a str and a file, so the items after it are numbered
+    # one line on
+    for lines, outcome in [(["0\r1", "1 2"], (1, "line 1: expected two integer tokens, got '0'")),
+                           (["5 9\r\n9 5", "x y"], (3, "line 3: node ids must be nonnegative "
+                                                         "integers, got 'x y'"))]:
+        text = "\n".join(lines)
+        for source in (lines, text, io.StringIO(text, newline="")):
+            assert load_outcome(load_edge_list, source) == outcome
 
 
 def test_a_newline_inside_an_item_ends_a_line():
@@ -269,21 +280,24 @@ def test_the_plain_class_is_ascii_digits_and_whitespace():
 
 
 def test_ids_parted_by_any_whitespace_load_as_the_reference_does(monkeypatch):
-    # A str ends its lines at some of these characters and a file at fewer,
-    # but either way the loader gives the reference's graph or error, and
-    # loadtxt alone reads each graph unless a "\r" it refuses is left inside
-    # a line.
+    # Only "\r\n", "\r" and "\n" end a line, in a str, a file in any newline
+    # mode and a list of lines alike, so every source gives the reference's
+    # one graph or error line, and loadtxt alone reads each graph.
     line_ids, calls = graph_module._line_ids, []
     monkeypatch.setattr(graph_module, "_line_ids", lambda lines: calls.append(1) or line_ids(lines))
     for c in _WHITESPACE:
         text = f"0{c}1\n1{c}2\n"
-        for source in (lambda: text, lambda: io.StringIO(text, newline=None),
-                       lambda: text.split("\n")):
+        sources = [lambda: text, lambda: text.split("\n"), lambda: io.StringIO(text).readlines()]
+        sources += [lambda newline=newline: io.StringIO(text, newline=newline)
+                    for newline in (None, "", "\n", "\r", "\r\n")]
+        outcomes = []
+        for source in sources:
             calls.clear()
-            outcome = load_outcome(load_edge_list, source())
-            assert outcome == load_outcome(reference_load, source()), repr(c)
-            if len(outcome) == 3 and c != "\r":
+            outcomes.append(load_outcome(load_edge_list, source()))
+            assert outcomes[-1] == load_outcome(reference_load, source()), repr(c)
+            if len(outcomes[-1]) == 3:
                 assert not calls, repr(c)
+        assert outcomes == outcomes[:1] * len(sources), repr(c)
 
 
 def test_load_huge_sparse_ids_keep_their_labels():

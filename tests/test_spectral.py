@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from netelast import (
+    Graph,
     SizeGuardError,
     algebraic_connectivity,
     complete_graph,
@@ -22,6 +23,7 @@ from netelast import (
     star_graph,
     wheel_graph,
 )
+from netelast.cli import main
 
 
 def spectrum(g):
@@ -36,6 +38,15 @@ def test_laplacian_k2():
 def test_laplacian_p3():
     lap = laplacian(path_graph(3))
     assert lap.tolist() == [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]
+
+
+def test_laplacian_refuses_the_empty_graph(tmp_path, capsys):
+    with pytest.raises(ValueError, match="^laplacian requires at least one node$"):
+        laplacian(Graph(0, []))
+    path = tmp_path / "empty.txt"
+    path.write_text("# no links\n")
+    assert main(["spectral", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: laplacian requires at least one node\n"
 
 
 def test_laplacian_edgeless():
