@@ -257,19 +257,20 @@ def averaged_elasticity(
     Trial k uses seed + k; the targeted strategy is deterministic, so it is
     forced to a single trial.  trials, seed, steps and jobs follow _integer's
     rule, and the result echoes the first three as ints; every strategy
-    checks seed before it plans, so a degree study never echoes a seed that
-    a random one would refuse.  All trials sweep the same entity kind and
-    total in the same batches, so the sweep is validated and its targets
-    fixed once; only the link ranks are per trial, taken from the ids the
-    trial's planner drew, so a random trial's links are never resolved from
-    (u, v) pairs.  One masked_throughputs call measures every trial, in at
-    most min(jobs, usable CPUs, work items) processes.  Returns the mean
+    checks seed and jobs before it plans, so a degree study never echoes a
+    seed that a random one would refuse.  All trials sweep the same entity
+    kind and total in the same batches, so the sweep is validated and its
+    targets fixed once; only the link ranks are per trial, taken from the
+    ids the trial's planner drew, so a random trial's links are never
+    resolved from (u, v) pairs.  One masked_throughputs call measures every
+    trial, in at most min(jobs, usable CPUs, work items) processes.  Returns the mean
     result (per-trial values and their sample standard deviation included),
     the pointwise-mean curve, and every per-trial curve, built in fixed
     trial and sample order, so worker count never changes the outcome.
     """
     trials = _integer("trials", trials, 1)
     seed = _integer("seed", seed)  # before any plan, whatever the strategy
+    jobs = _integer("jobs", jobs, 1)
     if strategy == "degree":
         trials = 1
     plans, ranks = [], []

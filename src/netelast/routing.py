@@ -127,7 +127,8 @@ def _pair_counts(g: Graph, rank: np.ndarray, targets: Sequence[int]) -> list[int
     return counts
 
 
-def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
+def route_all_pairs(g: Graph, keep: np.ndarray | None = None, *, _part: int = 0,
+                    _parts: int = 1) -> FlowAssignment:
     """Route every deliverable ordered pair and tally per-link flows.
 
     With keep, a boolean array of shape (g.m,) over g's link ids (anything else
@@ -167,18 +168,14 @@ def route_all_pairs(g: Graph, keep: np.ndarray | None = None) -> FlowAssignment:
     where the parents leave the level above (a searchsorted), and no depth
     is sorted or stored.  Every count is an integer of at most n**2, exact
     in float64.  delivered is the sum of C*(C - 1) over component sizes.
-    """
-    return _route(g, keep)
 
-
-def _route(g: Graph, keep: np.ndarray | None = None, part: int = 0,
-           parts: int = 1) -> FlowAssignment:
-    """Share part of parts of route_all_pairs(g, keep): the loads of the
-    routes into the core roots roots[part::parts] (interleaved, so each
-    share spreads over the core and its components), and, in share 0
-    alone, the peeled links' bridge loads.  Every load is an exact integer,
-    so the shares' link_load arrays sum, in any order, to the route's.
-    Every share has the route's delivered; max_link_load is the share's own.
+    A study's pool cuts a sample too large for one worker into root shares
+    through the private _part and _parts: share _part of _parts routes only
+    into every _parts-th 2-core root in id order from the _part-th
+    (interleaved, so each share spreads over the core and its components),
+    and share 0 alone adds the peeled links' bridge loads.  Every load is an exact integer, so the
+    shares' link_load arrays sum, in any order, to the route's.  Every share
+    has the route's delivered; max_link_load is the share's own.
     """
     # Only a route uses scipy, so commands that never route start without it.
     from scipy.sparse import csr_array, csr_matrix
@@ -199,7 +196,7 @@ def _route(g: Graph, keep: np.ndarray | None = None, part: int = 0,
     peeled = up >= 0
     w = weight[peeled]
     load_acc = np.zeros(m, dtype=np.float64)
-    if part == 0:
+    if _part == 0:
         load_acc[up[peeled]] = 2 * w * (sizes[label[peeled]] - w)
 
     indptr, indices, slot_link = _cut(indptr, indices, slot_link,
@@ -212,7 +209,7 @@ def _route(g: Graph, keep: np.ndarray | None = None, part: int = 0,
     link_of = csr_array((slot_link + 1, graph.indices, graph.indptr), shape=(n, n))
     del indices, slot_link  # not read past here: freed before the searches
     core_size = int(core.sum())
-    roots = np.flatnonzero(core)[part::parts]
+    roots = np.flatnonzero(core)[_part::_parts]
 
     # each node's place in the BFS order of the root being searched
     position = np.empty(n, dtype=np.int64)
@@ -370,9 +367,7 @@ def _measure(item: _Item, study: tuple = ()) -> list[int] | FlowAssignment:
     trial, group, part, parts = item
     if mode == "flow-ratio":
         return _pair_counts(g, ranks[trial], group)
-    keep = ranks[trial] >= group[0]
-    # a whole sample is routed under the name perfbench's tracer wraps
-    return _route(g, keep, part, parts) if parts > 1 else route_all_pairs(g, keep)
+    return route_all_pairs(g, ranks[trial] >= group[0], _part=part, _parts=parts)
 
 
 def _fold(items: list[_Item], values: Iterable[list[int] | FlowAssignment]) -> dict:
@@ -408,7 +403,8 @@ def masked_throughputs(
 ) -> list[list[float]]:
     """Throughput of g masked to the links with rank >= t: for each trial's
     rank array in ranks (one nonnegative rank per link id), its values at
-    the targets t, in target order.
+    the targets t, in target order.  Each target is an integer, at least 0
+    by _integer's rule; with no targets every trial's list is empty.
 
     Removed nodes stay as isolated nodes.  bottleneck mode routes each
     masked sample and returns deliverable pairs over the bottleneck load,
@@ -440,7 +436,8 @@ def masked_throughputs(
         if np.min(rank, initial=0) < 0:
             raise ValueError("ranks must be nonnegative")
     jobs = min(_integer("jobs", jobs, 1), _usable_cpus())
-    groups = [tuple(targets)] if mode == "flow-ratio" else [(t,) for t in targets]
+    targets = [_integer("target", t) for t in targets]
+    groups = [tuple(targets)] if mode == "flow-ratio" and targets else [(t,) for t in targets]
 
     def item(k: int, group: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         return (0, group) if group == (0,) else (k, group)

@@ -237,9 +237,9 @@ def test_averaged_bottleneck_routes_intact_graph_once(monkeypatch):
     trials = tuple(sweep(g, plan_random_nodes(g, g.n, 5 + k), steps=2) for k in range(3))
     route, calls = routing.route_all_pairs, []
 
-    def counted(*args):
+    def counted(*args, **share):
         calls.append(args)
-        return route(*args)
+        return route(*args, **share)
 
     monkeypatch.setattr(routing, "route_all_pairs", counted)
     study = averaged_elasticity(g, "random-node", trials=3, seed=5, steps=2)
@@ -311,22 +311,32 @@ def test_a_dominant_sample_is_routed_in_root_shares(spy_pool, monkeypatch):
     # a steps=1 degree study has two samples, and the intact one holds
     # most of the work, so at jobs=2 it runs as two root shares, then the
     # smaller sample runs whole; the values stay those of jobs=1, and the
-    # second sample's is not 0, so it reads the intact throughput.  The
-    # plans are pinned on 8 usable CPUs, whatever the runner has, and
-    # mapped in this process.  Every pool names fork as its start method
-    # wherever fork is offered.
+    # second sample's is not 0, so it reads the intact throughput.  Every
+    # route, share or whole, goes through route_all_pairs, the name a
+    # tracer wraps.  The plans are pinned on 8 usable CPUs, whatever the
+    # runner has, and mapped in this process.  Every pool names fork as
+    # its start method wherever fork is offered.
     import multiprocessing
 
     import netelast.routing as routing
 
     monkeypatch.setattr(routing, "_usable_cpus", lambda: 8)
+    route, shares = routing.route_all_pairs, []
+
+    def recorded(g, keep=None, **share):
+        shares.append((share["_part"], share["_parts"]))
+        return route(g, keep, **share)
+
+    monkeypatch.setattr(routing, "route_all_pairs", recorded)
     mapped = spy_pool.mapped
     g = grid_graph(12, 12)
     serial = averaged_elasticity(g, "degree", steps=1, max_removal_fraction=0.2)
     assert not mapped and serial.trial_curves[0].samples[1][1] > 0
+    assert shares == [(0, 1), (0, 1)]
     parallel = averaged_elasticity(g, "degree", steps=1, max_removal_fraction=0.2, jobs=2)
     target = mapped[2][1]
     assert mapped == [(0, (0,), 0, 2), (0, (0,), 1, 2), (0, target, 0, 1)]
+    assert shares[2:] == [(0, 2), (1, 2), (0, 1)]
     assert parallel.result == serial.result
     assert parallel.trial_curves == serial.trial_curves
     # at jobs=4 a steps=2 study's second sample also costs more than the
@@ -446,20 +456,28 @@ def test_averaged_result_fields_are_exact(strategy, mode, trials):
     {"strategy": "random-node", "max_removal_fraction": 1.5},
     {"strategy": "random-link", "steps": -1},
     {"strategy": "degree", "mode": "fastest"},
+    {"strategy": "random-node", "jobs": 0},
 ])
 def test_invalid_study_fails_before_any_pool(study, monkeypatch):
+    # a jobs below 1 is refused before any trial is planned
     import concurrent.futures
+
+    import netelast.engine as engine
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool started for an invalid study")
 
+    planned, plan = [], engine._random_plan
+    monkeypatch.setattr(engine, "_random_plan", lambda *args: planned.append(args) or plan(*args))
     g = erdos_renyi(12, 0.3, seed=3)
     with pytest.raises(ValueError) as serial:
         averaged_elasticity(g, trials=3, **study)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError) as parallel:
-        averaged_elasticity(g, trials=3, jobs=2, **study)
+        averaged_elasticity(g, trials=3, **{"jobs": 2, **study})
     assert str(parallel.value) == str(serial.value)
+    if "jobs" in study:
+        assert str(serial.value) == "jobs must be >= 1, got 0" and not planned
 
 
 def test_star_random_beats_targeted_exhaustively():

@@ -714,6 +714,9 @@ def echoed(name):
     pytest.param("jobs", 2, NOT_INTEGERS,
                  lambda v: masked_throughputs(GRID, [np.arange(GRID.m)], [0, 6], "flow-ratio", v),
                  None, id="masked_throughputs-jobs"),
+    pytest.param("target", 2, (*NOT_INTEGERS, -1),
+                 lambda v: masked_throughputs(GRID, [np.arange(GRID.m)], [v]), None,
+                 id="masked_throughputs-target"),
     pytest.param("size_guard", 2, NOT_INTEGERS,
                  lambda v: laplacian(path_graph(2), size_guard=v).tolist(), None,
                  id="laplacian-size_guard"),

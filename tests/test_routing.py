@@ -29,7 +29,7 @@ from netelast import (
     throughput,
     wheel_graph,
 )
-from netelast.routing import MODES, _route, _runs, delivered_flow_count, masked_throughputs
+from netelast.routing import MODES, _runs, delivered_flow_count, masked_throughputs
 
 from flow_oracle import brute_force_flows, total_path_length
 
@@ -204,8 +204,8 @@ def test_path_lengths_over_a_whole_degree_sweep(monkeypatch):
     g = scale_free_ba(1024, 3, 3, seed=42)
     routes = []
 
-    def recorded(graph, keep=None):
-        routes.append((keep, route_all_pairs(graph, keep)))
+    def recorded(graph, keep=None, **share):
+        routes.append((keep, route_all_pairs(graph, keep, **share)))
         return routes[-1][1]
 
     monkeypatch.setattr(routing, "route_all_pairs", recorded)
@@ -255,7 +255,7 @@ def test_root_shares_sum_to_one_route(monkeypatch):
         for g, keep in cases:
             whole = route_all_pairs(g, keep)
             for k in range(1, 5):
-                shares = [_route(g, keep, part, k) for part in range(k)]
+                shares = [route_all_pairs(g, keep, _part=part, _parts=k) for part in range(k)]
                 total = sum(fa.link_load for fa in shares)
                 assert total.dtype == np.int64
                 assert total.tolist() == whole.link_load.tolist()
@@ -371,6 +371,15 @@ def test_masked_throughputs_refuse_ranks_of_another_shape(monkeypatch):
                 with pytest.raises(ValueError, match=rf"^ranks must have shape \(12,\), "
                                                      rf"got {re.escape(str(shape))}$"):
                     masked_throughputs(g, ranks, [0, 1], mode, jobs)
+
+
+def test_masked_throughputs_of_no_targets_are_empty_lists():
+    # no targets, no work items: one empty list per trial in either mode
+    g = grid_graph(3, 3)
+    ranks = [np.zeros(g.m, dtype=np.int64), np.arange(g.m)]
+    for mode in MODES:
+        for jobs in (1, 2):
+            assert masked_throughputs(g, ranks, [], mode, jobs) == [[], []]
 
 
 def test_link_load_is_integer_array():

@@ -7,8 +7,11 @@ Every command runs in a fresh interpreter that imports netelast.cli from
 this checkout's src/ and calls its main, as the netelast script does, with
 one BLAS thread (as perfbench runs it), so a single-process command's CPU
 time cannot exceed its wall time by BLAS threads.  The inputs are made by
-the first three rows, `generate` runs writing BA-4096, grid 16x16 and
-BA-100000 edge lists into a temporary directory.  BA-100000 (299,994
+the first four rows, `generate` runs writing BA-4096, grid 16x16, grid
+64x64 and BA-100000 edge lists into a temporary directory.  A one-step
+degree sweep of grid 64x64 runs at --jobs 1 and at --jobs 2; at 2 its
+intact sample is routed in two root shares, the one row that shows what
+that path costs.  BA-100000 (299,994
 links) is at the scale of the paper's measured topologies, where loading
 the file is most of a `metrics` run; once it is written, a copy under a
 three-line SNAP-style `#` header, the form such topologies are published
@@ -60,6 +63,7 @@ SWEEP = ("--steps", "20", "--curve-out", "curve.csv", "--json-out", "result.json
 COMMANDS = (
     ("generate", "ba:4096:3:3", "-o", "ba-4096.txt"),
     ("generate", "grid:16:16", "-o", "grid-16.txt"),
+    ("generate", "grid:64:64", "-o", "grid-64.txt"),
     ("generate", "ba:100000:3:3", "-o", "ba-100000.txt"),
     ("metrics", "--input", "ba-4096.txt", "--json-out", "metrics.json"),
     ("metrics", "--input", "ba-100000.txt", "--json-out", "metrics.json"),
@@ -73,6 +77,8 @@ COMMANDS = (
     ("elasticity", "--input", "grid-16.txt", "--jobs", "1", *SWEEP),
     ("elasticity", "--input", "grid-16.txt", *SWEEP),
     ("elasticity", "--input", "grid-16.txt", "--jobs", "2", *SWEEP),
+    ("elasticity", "--input", "grid-64.txt", "--steps", "1", "--jobs", "1"),
+    ("elasticity", "--input", "grid-64.txt", "--steps", "1", "--jobs", "2"),
 )
 
 
