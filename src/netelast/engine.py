@@ -2,14 +2,14 @@
 
 A sweep removes the planned entities in equal batches and records one
 (fraction_remaining, normalized throughput) point per batch.  It runs in
-three steps: prepare (validate, fix the batch targets and each link's
-removal rank), measure (routing's masked_throughputs of the intact graph and
-every sample), finish (normalize and clamp into a curve);
-averaged_elasticity runs a multi-trial study, whose trials one
-masked_throughputs call measures.  Elasticity is the
-trapezoid area under the curve on a percent axis, divided by the maximal
-possible area 100 * max_removal_fraction, so a curve pinned at 1 over the
-full sweep scores exactly 1.
+three steps: prepare (check the width, steps and mode, fix the batch
+targets and each link's removal rank), measure (routing's
+masked_throughputs of the intact graph and every sample), finish
+(normalize and clamp into a curve); averaged_elasticity runs a
+multi-trial study, whose trials one masked_throughputs call measures.
+Elasticity is the trapezoid area under the curve on a percent axis,
+divided by the maximal possible area 100 * max_removal_fraction, so a
+curve pinned at 1 over the full sweep scores exactly 1.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackPlan, _random_plan, plan_targeted_degree
+from .attacks import STRATEGIES, AttackPlan, _random_plan, plan_targeted_degree
 from .graph import Graph, _integer, _is_real, _link_ids, _node_ids
-from .routing import DEFAULT_MODE, MODES, masked_throughputs
+from .routing import DEFAULT_MODE, _check_mode, masked_throughputs
 
 __all__ = [
     "AveragedSweep",
@@ -92,48 +92,48 @@ class AveragedSweep:
     trial_curves: tuple[ThroughputCurve, ...]
 
 
-def _link_ranks(g: Graph, kind: str, ids: Sequence[int], count: int) -> np.ndarray:
-    """Plan position at which each link of g goes; count for links kept.
+def _link_ranks(g: Graph, kind: str, ids: Sequence[int]) -> np.ndarray:
+    """Plan position at which each link of g goes; len(ids) for links kept.
 
-    ids are a plan's entries as checked ids, in removal order: node ids for
-    a "node" plan, indices into g.edges for a "link" plan.  A study's own
-    trials pass the ids their planner drew; sweep first resolves a plan's
-    entries by remove_nodes'/remove_links' own _node_ids/_link_ids.  A link
-    plan removes a link at its own position, a node plan at the earlier
-    position of its two endpoints; a repeated id counts at its first
-    position.  Only the first count ids, the ones a sweep removes, are read.
+    ids are the entries a sweep removes as checked ids, in removal order:
+    node ids for a "node" plan, indices into g.edges for a "link" plan.  A
+    study's own trials pass the ids their planner drew; sweep first resolves
+    the entries it removes by remove_nodes'/remove_links' own
+    _node_ids/_link_ids.  A link plan removes a link at its own position, a
+    node plan at the earlier position of its two endpoints; a repeated id
+    counts at its first position.  Nothing is checked here.
     """
     node = kind == "node"
-    ids = np.asarray(ids[:count], dtype=np.int64)
-    rank = np.full(g.n if node else g.m, count, dtype=np.int64)
-    np.minimum.at(rank, ids, np.arange(len(ids)))
+    rank = np.full(g.n if node else g.m, len(ids), dtype=np.int64)
+    np.minimum.at(rank, np.asarray(ids, dtype=np.int64), np.arange(len(ids)))
     return rank[g.ends.reshape(-1, 2)].min(axis=1) if node else rank
 
 
-def _sweep_targets(
-    g: Graph, plan: AttackPlan, max_removal_fraction: float, steps: int
-) -> tuple[int, list[int], int]:
-    """Validate a sweep; its entity total, the removal targets it measures,
-    and steps as an int.
+def _check_sweep(max_removal_fraction: float, steps: int, mode: str) -> int:
+    """steps as an int, once the width, steps and mode pass, in that order.
 
-    The targets are 0 for the intact graph, then each distinct nonzero batch
-    target, ascending: the cumulative target after step k of steps is
-    k * fraction * total / steps rounded half-up, so the last lands on
-    round(fraction * total) regardless of divisibility.  The plan must cover
-    the last target.  steps follows _integer's rule; masked_throughputs
-    checks the mode, and sweep does when it is given the throughputs.
+    The width is a real number in (0, 1], steps follows _integer's rule, and
+    routing's _check_mode refuses a mode not in MODES.  sweep and
+    averaged_elasticity call this before they plan or measure anything.
     """
     if not (_is_real(max_removal_fraction) and 0.0 < max_removal_fraction <= 1.0):
         raise ValueError("max_removal_fraction must lie in (0, 1]")
     steps = _integer("steps", steps)
-    if plan.kind not in ("node", "link"):
-        raise ValueError(f"unknown plan kind {plan.kind!r}")
-    total = g.n if plan.kind == "node" else g.m
-    targets = [0, *sorted({int(k * max_removal_fraction * total / steps + 0.5)
-                           for k in range(1, steps + 1)} - {0})]
-    if len(plan.order) < targets[-1]:
-        raise ValueError(f"plan covers {len(plan.order)} entities, sweep needs {targets[-1]}")
-    return total, targets, steps
+    _check_mode(mode)
+    return steps
+
+
+def _sweep_targets(total: int, max_removal_fraction: float, steps: int) -> list[int]:
+    """The removal targets a sweep of total entities measures.
+
+    0 for the intact graph, then each distinct nonzero batch target,
+    ascending: the cumulative target after step k of steps is
+    k * fraction * total / steps rounded half-up, so the last lands on
+    round(fraction * total) regardless of divisibility.  Nothing is checked
+    here: _check_sweep has passed the width and steps.
+    """
+    return [0, *sorted({int(k * max_removal_fraction * total / steps + 0.5)
+                        for k in range(1, steps + 1)} - {0})]
 
 
 def sweep(
@@ -153,19 +153,25 @@ def sweep(
     nothing and carry no load; one masked_throughputs call measures the
     intact graph and every sample.  throughputs, when given, are those
     values already measured elsewhere (averaged_elasticity measures all
-    trials at once); an unknown mode is refused either way.  Batches that
-    round to no removals are skipped, keeping the fraction axis strictly
-    decreasing.  A degenerate baseline (nothing deliverable in the intact
-    graph) yields the conventional curve 1 at the intact sample and 0
-    afterwards.
+    trials at once).  Batches that round to no removals are skipped, keeping
+    the fraction axis strictly decreasing.  A degenerate baseline (nothing
+    deliverable in the intact graph) yields the conventional curve 1 at the
+    intact sample and 0 afterwards.
+
+    The width, steps and mode are checked first (_check_sweep), then what
+    only a caller's plan decides: its kind, and that it covers the last
+    target.
     """
-    total, targets, steps = _sweep_targets(g, plan, max_removal_fraction, steps)
+    steps = _check_sweep(max_removal_fraction, steps, mode)
+    if plan.kind not in ("node", "link"):
+        raise ValueError(f"unknown plan kind {plan.kind!r}")
+    total = g.n if plan.kind == "node" else g.m
+    targets = _sweep_targets(total, max_removal_fraction, steps)
+    if len(plan.order) < targets[-1]:
+        raise ValueError(f"plan covers {len(plan.order)} entities, sweep needs {targets[-1]}")
     if throughputs is None:
         ids = (_node_ids if plan.kind == "node" else _link_ids)(g, plan.order[:targets[-1]])
-        rank = _link_ranks(g, plan.kind, ids, targets[-1])
-        throughputs = masked_throughputs(g, [rank], targets, mode)[0]
-    elif mode not in MODES:  # masked_throughputs' own check, on a path that skips it
-        raise ValueError(f"unknown throughput mode {mode!r}")
+        throughputs = masked_throughputs(g, [_link_ranks(g, plan.kind, ids)], targets, mode)[0]
     elif len(throughputs) != len(targets):
         raise ValueError(f"sweep measures {len(targets)} targets, "
                          f"got {len(throughputs)} throughputs")
@@ -228,16 +234,17 @@ def elasticity(curve: ThroughputCurve) -> ElasticityResult:
     )
 
 
-def _plan(g: Graph, strategy: str, recompute: bool, seed: int) -> tuple[AttackPlan, Sequence[int]]:
-    """A trial's plan of every entity and its entries as ids (see _link_ranks)."""
+def _plan(g: Graph, strategy: str, recompute: bool, seed: int,
+          count: int) -> tuple[AttackPlan, np.ndarray]:
+    """A trial's plan of its first count entities, the ones its sweep
+    removes, and its link ranks, taken from the ids its planner drew (see
+    _link_ranks).  strategy is one of STRATEGIES; each planner's first
+    count entries are the same for any larger count."""
     if strategy == "degree":
-        plan = plan_targeted_degree(g, g.n, recompute=recompute)
-        return plan, plan.order
-    if strategy == "random-node":
-        return _random_plan(g, "node", g.n, seed)
-    if strategy == "random-link":
-        return _random_plan(g, "link", g.m, seed)
-    raise ValueError(f"unknown attack strategy {strategy!r}")
+        plan = plan_targeted_degree(g, count, recompute=recompute)
+        return plan, _link_ranks(g, "node", plan.order)
+    plan, ids = _random_plan(g, "node" if strategy == "random-node" else "link", count, seed)
+    return plan, _link_ranks(g, plan.kind, ids)
 
 
 def averaged_elasticity(
@@ -255,15 +262,17 @@ def averaged_elasticity(
     """Average elasticity over seeded trials of a (possibly stochastic) attack.
 
     Trial k uses seed + k; the targeted strategy is deterministic, so it is
-    forced to a single trial.  trials, seed, steps and jobs follow _integer's
-    rule, and the result echoes the first three as ints; every strategy
-    checks seed and jobs before it plans, so a degree study never echoes a
-    seed that a random one would refuse.  All trials sweep the same entity
-    kind and total in the same batches, so the sweep is validated and its
-    targets fixed once; only the link ranks are per trial, taken from the
-    ids the trial's planner drew, so a random trial's links are never
-    resolved from (u, v) pairs.  One masked_throughputs call measures every
-    trial, in at most min(jobs, usable CPUs, work items) processes.  Returns the mean
+    forced to a single trial.  Every argument is checked before any plan, in
+    this order: trials, seed and jobs (_integer's rule), the strategy
+    (against STRATEGIES), then the width, steps and mode (_check_sweep).  So
+    a degree study never echoes a seed that a random one would refuse, and
+    the result echoes trials, seed and steps as ints.  The strategy fixes
+    the entity kind and total, so the targets are fixed once, before the
+    trials, and each trial plans only the entities its sweep removes; only
+    the link ranks are per trial, taken from the ids the trial's planner
+    drew, so a random trial's links are never resolved from (u, v) pairs.
+    One masked_throughputs call measures every trial, in at most
+    min(jobs, usable CPUs, work items) processes.  Returns the mean
     result (per-trial values and their sample standard deviation included),
     the pointwise-mean curve, and every per-trial curve, built in fixed
     trial and sample order, so worker count never changes the outcome.
@@ -271,15 +280,15 @@ def averaged_elasticity(
     trials = _integer("trials", trials, 1)
     seed = _integer("seed", seed)  # before any plan, whatever the strategy
     jobs = _integer("jobs", jobs, 1)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown attack strategy {strategy!r}")
+    steps = _check_sweep(max_removal_fraction, steps, mode)
+    targets = _sweep_targets(g.m if strategy == "random-link" else g.n,
+                             max_removal_fraction, steps)
     if strategy == "degree":
         trials = 1
-    plans, ranks = [], []
-    for s in range(seed, seed + trials):  # a trial's ids are dropped once ranked
-        plan, ids = _plan(g, strategy, recompute, s)
-        if not plans:
-            targets = _sweep_targets(g, plan, max_removal_fraction, steps)[1]
-        plans.append(plan)
-        ranks.append(_link_ranks(g, plan.kind, ids, targets[-1]))
+    plans, ranks = zip(*[_plan(g, strategy, recompute, s, targets[-1])
+                         for s in range(seed, seed + trials)])
     measured = masked_throughputs(g, ranks, targets, mode, jobs)
     curves = tuple(sweep(g, plan, max_removal_fraction, steps, mode, throughputs=values)
                    for plan, values in zip(plans, measured))

@@ -185,6 +185,14 @@ def test_elasticity_is_area_over_80_at_defaults():
     curve = sweep(g, plan_targeted_degree(g, g.n), 0.8, 80, "flow-ratio")
     result = elasticity(curve)
     assert result.elasticity == result.area / 80.0
+    assert result.trials == 1
+
+
+def test_a_study_seeds_its_first_trial_with_42_by_default():
+    g = erdos_renyi(15, 0.3, seed=1)
+    study = averaged_elasticity(g, "random-node", trials=2, mode="flow-ratio")
+    assert study == averaged_elasticity(g, "random-node", trials=2, seed=42, mode="flow-ratio")
+    assert study.result.seed == 42
 
 
 def test_table_normalization_constants():
@@ -451,33 +459,39 @@ def test_averaged_result_fields_are_exact(strategy, mode, trials):
         assert first.seed is None
 
 
-@pytest.mark.parametrize("study", [
-    {"strategy": "hubs"},
-    {"strategy": "random-node", "max_removal_fraction": 1.5},
-    {"strategy": "random-link", "steps": -1},
-    {"strategy": "degree", "mode": "fastest"},
-    {"strategy": "random-node", "jobs": 0},
-])
-def test_invalid_study_fails_before_any_pool(study, monkeypatch):
-    # a jobs below 1 is refused before any trial is planned
+@pytest.mark.parametrize("study, first", [
+    ({"strategy": "hubs"}, "unknown attack strategy 'hubs'"),
+    ({"strategy": "random-node", "max_removal_fraction": 1.5},
+     "max_removal_fraction must lie in (0, 1]"),
+    ({"strategy": "random-link", "steps": -1}, "steps must be nonnegative, got -1"),
+    ({"strategy": "degree", "mode": "fastest"}, "unknown throughput mode 'fastest'"),
+    ({"strategy": "random-node", "jobs": 0}, "jobs must be >= 1, got 0"),
+    ({"strategy": "random-node", "mode": "fastest"}, "unknown throughput mode 'fastest'"),
+    ({"strategy": "degree", "trials": 0}, "trials must be >= 1, got 0"),
+    ({"strategy": "random-node", "seed": -1}, "seed must be nonnegative, got -1"),
+    # two bad arguments: steps is checked before the mode
+    ({"strategy": "degree", "steps": -1, "mode": "fastest"}, "steps must be nonnegative, got -1"),
+], ids=[f"study{i}" for i in range(9)])
+def test_invalid_study_fails_before_any_pool(study, first, monkeypatch):
+    # every argument is checked before any trial is planned, at any jobs
     import concurrent.futures
-
-    import netelast.engine as engine
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool started for an invalid study")
 
-    planned, plan = [], engine._random_plan
-    monkeypatch.setattr(engine, "_random_plan", lambda *args: planned.append(args) or plan(*args))
+    planned = []
+    for name in ("plan_targeted_degree", "_random_plan"):
+        planner = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *args, planner=planner, **kwargs:
+                            planned.append(args) or planner(*args, **kwargs))
     g = erdos_renyi(12, 0.3, seed=3)
     with pytest.raises(ValueError) as serial:
-        averaged_elasticity(g, trials=3, **study)
+        averaged_elasticity(g, **{"trials": 3, **study})
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError) as parallel:
-        averaged_elasticity(g, trials=3, **{"jobs": 2, **study})
-    assert str(parallel.value) == str(serial.value)
-    if "jobs" in study:
-        assert str(serial.value) == "jobs must be >= 1, got 0" and not planned
+        averaged_elasticity(g, **{"trials": 3, "jobs": 2, **study})
+    assert str(serial.value) == str(parallel.value) == first
+    assert not planned
 
 
 def test_star_random_beats_targeted_exhaustively():
@@ -631,8 +645,8 @@ def test_a_study_ranks_its_trials_as_sweep_ranks_their_plans(g, strategy, mode, 
     assert len(measured) == 3
     for k, rank in enumerate(measured):
         plan = planner(g, g.n if strategy == "random-node" else g.m, seed + k)
-        count = _sweep_targets(g, plan, fraction, 5)[1][-1]
-        expected = _link_ranks(g, plan.kind, resolve(g, plan.order[:count]), count)
+        count = _sweep_targets(len(plan.order), fraction, 5)[-1]
+        expected = _link_ranks(g, plan.kind, resolve(g, plan.order[:count]))
         assert rank.dtype == expected.dtype == np.int64
         assert rank.tolist() == expected.tolist()
 

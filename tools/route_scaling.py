@@ -43,9 +43,8 @@ ATTACK_FRACTIONS = (0.1, 0.2, 0.3)
 def degree_attack_keep(g, fraction: float) -> np.ndarray:
     """The links of g left once its degree attack has removed fraction of
     the nodes, as many as a sweep of that width removes."""
-    plan = plan_targeted_degree(g, g.n)
-    count = _sweep_targets(g, plan, fraction, 1)[1][-1]
-    return _link_ranks(g, plan.kind, plan.order, count) >= count
+    count = _sweep_targets(g.n, fraction, 1)[-1]
+    return _link_ranks(g, "node", plan_targeted_degree(g, count).order) >= count
 
 
 def measure(g, keep: np.ndarray | None = None) -> tuple[float, int, float]:
